@@ -26,15 +26,7 @@ from .rules import (
     replacement_winners,
     young_winners,
 )
-from .scores import (
-    ScoreKind,
-    deletion_score,
-    dodgson_score,
-    insertion_score,
-    maximin_score,
-    replacement_score,
-    score_table,
-)
+from .scores import SCORE_FUNCTIONS, ScoreKind, score_table
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -47,14 +39,6 @@ _RULES: dict[str, Callable[[Election], WinnerSet]] = {
     "young": young_winners,
     "maximin": maximin_winners,
     "replacement": replacement_winners,
-}
-
-_SCORES = {
-    "maximin": maximin_score,
-    "insertion": insertion_score,
-    "deletion": deletion_score,
-    "replacement": replacement_score,
-    "dodgson": dodgson_score,
 }
 
 
@@ -91,7 +75,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     e = _load_profile(args.file)
     if args.candidate is not None:
         idx = e.candidate_index(args.candidate)
-        value = _SCORES[args.kind](e, idx)
+        value = SCORE_FUNCTIONS[ScoreKind(args.kind)](e, idx)
         print(f"{e.candidate_names[idx]}\t{_format_value(value)}")
         return EXIT_OK
     table = score_table(e, ScoreKind(args.kind))
@@ -176,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     winners.set_defaults(handler=_cmd_winners)
 
     score = sub.add_parser("score", help="score candidates against Condorcet victory")
-    score.add_argument("kind", choices=sorted(_SCORES))
+    score.add_argument("kind", choices=sorted(k.value for k in ScoreKind))
     score.add_argument("file")
     score.add_argument("candidate", nargs="?")
     score.set_defaults(handler=_cmd_score)

@@ -167,6 +167,13 @@ def _certified_floor(metric: ElectionMetric, n: int, budget: int) -> Value:
     return budget
 
 
+def _check_budget(addition_budget: int | None) -> None:
+    # A negative budget would turn the enumeration guard's size estimate
+    # negative and let any search through.
+    if addition_budget is not None and addition_budget < 0:
+        raise ValueError(f"addition budget must be non-negative, got {addition_budget}")
+
+
 def dr_score_oracle(
     e: Election,
     metric: ElectionMetric,
@@ -186,6 +193,7 @@ def dr_score_oracle(
     """
     if additions not in ("top", "all"):
         raise ValueError("additions must be 'top' or 'all'")
+    _check_budget(addition_budget)
     idx = e.candidate_index(cand)
     if metric in _PROFILE_METRICS:
         return _profile_minima(e, metric, limit)[idx]
@@ -210,6 +218,7 @@ def dr_winners_oracle(
     """Candidates whose closest won election is nearest, by brute force."""
     if e.n == 0:
         raise ValueError("closest-consensus winners need at least one voter")
+    _check_budget(addition_budget)
     if metric in _PROFILE_METRICS:
         scores = _profile_minima(e, metric, limit)
     else:

@@ -27,6 +27,13 @@ class ProfileParseError(ValueError):
     """Raised for malformed profile files, with a line number."""
 
 
+def _parse_count(text: str, lineno: int, what: str) -> int:
+    # int() would also take "+3", "1_0" and non-ASCII digits.
+    if not (text.isascii() and text.isdigit()):
+        raise ProfileParseError(f"line {lineno}: {what} must be an integer")
+    return int(text)
+
+
 def parse_profile(text: str) -> Election:
     lines = [
         (lineno, line.strip())
@@ -36,10 +43,7 @@ def parse_profile(text: str) -> Election:
     if len(lines) < 2:
         raise ProfileParseError("profile needs a candidate count and a name line")
     lineno, head = lines[0]
-    try:
-        m = int(head)
-    except ValueError:
-        raise ProfileParseError(f"line {lineno}: candidate count must be an integer") from None
+    m = _parse_count(head, lineno, "candidate count")
     if m < 1:
         raise ProfileParseError(f"line {lineno}: need at least one candidate")
     lineno, name_line = lines[1]
@@ -55,10 +59,7 @@ def parse_profile(text: str) -> Election:
         head, sep, tail = line.partition(":")
         if not sep:
             raise ProfileParseError(f"line {lineno}: ballot lines look like 'count: a > b'")
-        try:
-            count = int(head.strip())
-        except ValueError:
-            raise ProfileParseError(f"line {lineno}: ballot count must be an integer") from None
+        count = _parse_count(head.strip(), lineno, "ballot count")
         if count < 1:
             raise ProfileParseError(f"line {lineno}: ballot count must be positive")
         entries = [token.strip() for token in tail.split(">")]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Candidate, Election, PreferenceOrder, pairwise_tally
+from .core import Candidate, Election, PreferenceOrder
 from .scores import replacement_score
 
 
@@ -383,7 +383,7 @@ def verify_reduction(g: VcInstance) -> ReductionReport:
         "padding must preserve the answer",
     )
 
-    tally = pairwise_tally(e)
+    tally = e.tally
     a, b, c, p, z = range(m_edges, m_edges + 5)
     check(
         all(tally.counts[z][x] == n_vertices - k - 1 for x in range(e.m) if x != z),

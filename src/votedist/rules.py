@@ -48,20 +48,17 @@ def condorcet_rule(e: Election) -> WinnerSet:
     return WinnerSet("condorcet", () if winner is None else (winner,))
 
 
-def _argmin_rule(e: Election, rule: str, kind: ScoreKind) -> WinnerSet:
+def _score_rule(e: Election, rule: str, kind: ScoreKind, best=ScoreTable.argmin) -> WinnerSet:
     _require_voters(e, rule)
     table = score_table(e, kind)
-    winners = tuple(e.candidates[i] for i in table.argmin())
+    winners = tuple(e.candidates[i] for i in best(table))
     assert winners, "a non-empty election always has a best candidate"
     return WinnerSet(rule, winners, table)
 
 
 def maximin_winners(e: Election) -> WinnerSet:
     """Candidates whose weakest pairwise support is largest."""
-    _require_voters(e, "maximin")
-    table = score_table(e, ScoreKind.MAXIMIN)
-    winners = tuple(e.candidates[i] for i in table.argmax())
-    return WinnerSet("maximin", winners, table)
+    return _score_rule(e, "maximin", ScoreKind.MAXIMIN, ScoreTable.argmax)
 
 
 def young_winners(e: Election) -> WinnerSet:
@@ -71,16 +68,16 @@ def young_winners(e: Election) -> WinnerSet:
     all voters but one always leaves that voter's favourite a Condorcet
     winner, so some candidate has a finite score.
     """
-    result = _argmin_rule(e, "young", ScoreKind.DELETION)
+    result = _score_rule(e, "young", ScoreKind.DELETION)
     assert is_finite(min(result.table.values))
     return result
 
 
 def replacement_winners(e: Election) -> WinnerSet:
     """Candidates needing the fewest ballot rewrites to win outright."""
-    return _argmin_rule(e, "replacement", ScoreKind.REPLACEMENT)
+    return _score_rule(e, "replacement", ScoreKind.REPLACEMENT)
 
 
 def dodgson_winners(e: Election) -> WinnerSet:
     """Candidates needing the fewest adjacent swaps to win outright."""
-    return _argmin_rule(e, "dodgson", ScoreKind.DODGSON)
+    return _score_rule(e, "dodgson", ScoreKind.DODGSON)

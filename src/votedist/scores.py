@@ -19,11 +19,10 @@ over per-ballot lift amounts.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import CandidateRef, Election, PairwiseTally, pairwise_tally
+from .core import CandidateRef, Election, PairwiseTally
 from .distances import INFINITY, Value
 
 
@@ -74,8 +73,7 @@ def maximin_score(e: Election, cand: CandidateRef) -> int:
     idx = e.candidate_index(cand)
     if e.m == 1:
         return e.n
-    tally = pairwise_tally(e)
-    return min(tally.counts[idx][b] for b in range(e.m) if b != idx)
+    return min(e.tally.counts[idx][b] for b in range(e.m) if b != idx)
 
 
 def insertion_score(e: Election, cand: CandidateRef) -> int:
@@ -107,10 +105,20 @@ def replacement_deficits(tally: PairwiseTally, cand: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _ballot_types(e: Election) -> list[tuple[tuple[int, ...], int]]:
-    """Distinct rankings with multiplicities, in deterministic order."""
-    counts = Counter(ballot.ranking for ballot in e.profile)
-    return sorted(counts.items())
+def _cover_types(e: Election, cand: int, opponents: list[int]) -> tuple[list[int], list[int]]:
+    """``_min_cover`` items: per ballot type that ranks some ``opponents[j]``
+    above ``cand``, its count and the mask of every such j."""
+    weights, masks = [], []
+    for ranking, weight in e.ballot_types:
+        above = set(ranking[: ranking.index(cand)])
+        mask = 0
+        for j, x in enumerate(opponents):
+            if x in above:
+                mask |= 1 << j
+        if mask:
+            weights.append(weight)
+            masks.append(mask)
+    return weights, masks
 
 
 def _min_cover(
@@ -215,22 +223,12 @@ def replacement_score(e: Election, cand: CandidateRef, *, cutoff: int | None = N
     idx = e.candidate_index(cand)
     if e.n == 0:
         return None if cutoff is not None else INFINITY
-    deficits = replacement_deficits(pairwise_tally(e), idx)
+    deficits = replacement_deficits(e.tally, idx)
     opponents = [x for x in range(e.m) if deficits[x] > 0]
     if not opponents:
         return 0
     needs = [deficits[x] for x in opponents]
-    weights, masks = [], []
-    for ranking, weight in _ballot_types(e):
-        pos = ranking.index(idx)
-        above = set(ranking[:pos])
-        mask = 0
-        for j, x in enumerate(opponents):
-            if x in above:
-                mask |= 1 << j
-        if mask:
-            weights.append(weight)
-            masks.append(mask)
+    weights, masks = _cover_types(e, idx, opponents)
     guaranteed = e.n // 2 + 1
     return _min_cover(weights, masks, needs, budget=cutoff, known_upper=guaranteed)
 
@@ -249,19 +247,9 @@ def deletion_score(e: Election, cand: CandidateRef) -> Value:
     n = e.n
     if n == 0:
         return INFINITY
-    tally = pairwise_tally(e)
     opponents = [x for x in range(e.m) if x != idx]
-    against = [tally.counts[x][idx] for x in opponents]
-    weights, masks = [], []
-    for ranking, weight in _ballot_types(e):
-        pos = ranking.index(idx)
-        above = set(ranking[:pos])
-        mask = 0
-        for j, x in enumerate(opponents):
-            if x in above:
-                mask |= 1 << j
-        weights.append(weight)
-        masks.append(mask)
+    against = [e.tally.counts[x][idx] for x in opponents]
+    weights, masks = _cover_types(e, idx, opponents)
     for removed in range(n):
         kept = n - removed
         needs = [a - (kept - 1) // 2 for a in against]
@@ -286,7 +274,7 @@ def dodgson_score(e: Election, cand: CandidateRef) -> int:
     idx = e.candidate_index(cand)
     if e.n == 0:
         raise ValueError("dodgson score needs at least one voter")
-    tally = pairwise_tally(e)
+    tally = e.tally
     threshold = e.n // 2 + 1
     gains = {
         x: threshold - tally.counts[idx][x]
@@ -298,7 +286,7 @@ def dodgson_score(e: Election, cand: CandidateRef) -> int:
     opponents = sorted(gains)
     opp_pos = {x: j for j, x in enumerate(opponents)}
     types = []
-    for ranking, weight in _ballot_types(e):
+    for ranking, weight in e.ballot_types:
         pos = ranking.index(idx)
         chain = tuple(opp_pos.get(x) for x in ranking[pos - 1 :: -1]) if pos else ()
         types.append((chain, weight))
@@ -360,7 +348,7 @@ def dodgson_score(e: Election, cand: CandidateRef) -> int:
     return best
 
 
-_SCORE_FUNCTIONS = {
+SCORE_FUNCTIONS = {
     ScoreKind.MAXIMIN: maximin_score,
     ScoreKind.INSERTION: insertion_score,
     ScoreKind.DELETION: deletion_score,
@@ -377,5 +365,5 @@ def score_table(e: Election, kind: ScoreKind) -> ScoreTable:
     """
     if e.n == 0 and kind in (ScoreKind.REPLACEMENT, ScoreKind.DODGSON):
         raise ValueError(f"{kind.value} scores need at least one voter")
-    fn = _SCORE_FUNCTIONS[kind]
+    fn = SCORE_FUNCTIONS[kind]
     return ScoreTable(kind, tuple(fn(e, c) for c in range(e.m)))

@@ -8,7 +8,7 @@ import string
 
 import pytest
 
-from votedist import Election, PreferenceOrder, separating_example
+from votedist import Election, PreferenceOrder, core, separating_example
 
 NAME_POOL = list(string.ascii_lowercase)
 
@@ -45,3 +45,17 @@ def example_election() -> Election:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260815)
+
+
+@pytest.fixture
+def tally_calls(monkeypatch) -> list[Election]:
+    """The elections passed to ``core.pairwise_tally`` during the test."""
+    calls = []
+    tally = core.pairwise_tally
+
+    def counting(e: Election):
+        calls.append(e)
+        return tally(e)
+
+    monkeypatch.setattr(core, "pairwise_tally", counting)
+    return calls

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import votedist
-from votedist import separating_example, serialize_profile
+from votedist import ScoreKind, separating_example, serialize_profile
 from votedist.cli import main
 
 EXAMPLE = serialize_profile(separating_example())
@@ -83,6 +83,11 @@ class TestScore:
         assert main(["score", "deletion", profile("2\na b\n2: b > a\n")]) == 0
         assert capsys.readouterr().out == "a\tinf\nb\t0\n"
 
+    def test_kind_choices_are_the_score_kinds(self, capsys):
+        assert main(["score", "-h"]) == 0
+        kinds = ",".join(sorted(kind.value for kind in ScoreKind))
+        assert "{" + kinds + "}" in capsys.readouterr().out
+
     def test_unknown_candidate_is_input_error(self, profile, capsys):
         assert main(["score", "maximin", profile(SMALL), "zz"]) == 1
         assert "error" in capsys.readouterr().err
@@ -122,6 +127,10 @@ class TestRationalize:
         assert main(["rationalize", "insertion", profile("2\na b\n2: b > a\n"),
                      "--budget", "0"]) == 2
         assert capsys.readouterr().out == "inconclusive\n"
+
+    def test_negative_budget_is_input_error(self, profile, capsys):
+        assert main(["rationalize", "deletion", profile(SMALL), "--budget", "-1"]) == 1
+        assert "addition budget" in capsys.readouterr().err
 
     def test_profile_space_too_big_is_inconclusive(self, profile, capsys):
         big = "3\na b c\n10: a > b > c\n"
@@ -214,6 +223,17 @@ class TestParserBasics:
         assert helped.returncode == 0, helped.stderr
         assert "votedist" in helped.stdout
         assert run().returncode == 1
+
+    def test_python_dash_m(self, tmp_path):
+        """``python -m votedist`` runs the CLI without an install."""
+        package_root = pathlib.Path(votedist.__file__).parent.parent
+        printed = subprocess.run(
+            [sys.executable, "-m", "votedist", "fixture", "thm35"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(package_root)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert printed.returncode == 0, printed.stderr
+        assert printed.stdout == (REPO / "fixtures" / "thm35.profile").read_text(encoding="utf-8")
 
     @pytest.mark.skipif(
         not _distribution_installed("votedist"),

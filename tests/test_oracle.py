@@ -120,6 +120,14 @@ class TestEditMetricOracle:
             == INFINITY
         )
 
+    def test_rejects_negative_budget(self):
+        e = Election.from_names(["a", "b"], [["a", "b"], ["b", "a"], ["b", "a"]])
+        for metric in ElectionMetric:
+            with pytest.raises(ValueError, match="addition budget"):
+                dr_score_oracle(e, metric, "a", addition_budget=-1)
+            with pytest.raises(ValueError, match="addition budget"):
+                dr_winners_oracle(e, metric, addition_budget=-1)
+
     def test_budget_large_enough_certifies(self):
         e = Election.from_names(["a", "b"], [["b", "a"], ["b", "a"]])
         assert dr_score_oracle(e, ElectionMetric.INSERTION, "a", addition_budget=3) == 3

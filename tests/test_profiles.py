@@ -52,6 +52,9 @@ class TestParseProfile:
             "2\na b\n1: a > a\n",
             "2\na b\n1: a > c\n",
             "2\na #b\n1: a > #b\n",
+            "1_0\na b c d e f g h i j\n",
+            "2\na b\n1_0: a > b\n",
+            "2\na b\n+3: a > b\n",
         ],
     )
     def test_rejects_malformed_input(self, text):

@@ -268,6 +268,10 @@ class TestVerifyReduction:
         assert any("FAILED" in line for line in broken.lines())
         assert any("above" in line for line in broken.lines())
 
+    def test_tallies_once(self, tally_calls):
+        verify_reduction(K3)
+        assert len(tally_calls) == 1
+
     def test_calibration_score_matches_direct_solver(self):
         reduced = build_election(restrict(K3))
         k = reduced.instance.instance.budget

@@ -24,6 +24,7 @@ from votedist import (
     score_table,
     separating_example,
 )
+from votedist.scores import SCORE_FUNCTIONS
 
 
 class TestMaximin:
@@ -182,6 +183,15 @@ class TestScoreTable:
             table = score_table(example_election, kind)
             assert table.kind is kind
             assert table.values == values
+
+    def test_registry_covers_every_kind(self):
+        assert set(SCORE_FUNCTIONS) == set(ScoreKind)
+
+    def test_all_kinds_share_one_tally(self, tally_calls):
+        e = separating_example()
+        for kind in ScoreKind:
+            score_table(e, kind)
+        assert tally_calls == [e]
 
     def test_argmin_argmax(self):
         table = ScoreTable(ScoreKind.MAXIMIN, (3, 1, 1, 2))

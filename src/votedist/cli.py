@@ -26,7 +26,7 @@ from .rules import (
     replacement_winners,
     young_winners,
 )
-from .scores import SCORE_FUNCTIONS, ScoreKind, score_table
+from .scores import SCORE_FUNCTIONS, ScoreKind, require_voters, score_table
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -73,12 +73,14 @@ def _cmd_winners(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     e = _load_profile(args.file)
+    kind = ScoreKind(args.kind)
     if args.candidate is not None:
         idx = e.candidate_index(args.candidate)
-        value = SCORE_FUNCTIONS[ScoreKind(args.kind)](e, idx)
+        require_voters(e, kind)
+        value = SCORE_FUNCTIONS[kind](e, idx)
         print(f"{e.candidate_names[idx]}\t{_format_value(value)}")
         return EXIT_OK
-    table = score_table(e, ScoreKind(args.kind))
+    table = score_table(e, kind)
     for name, value in zip(e.candidate_names, table.values):
         print(f"{name}\t{_format_value(value)}")
     return EXIT_OK

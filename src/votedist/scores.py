@@ -11,9 +11,13 @@ candidate beats each rival by strict majority:
 * ``dodgson_score``: fewest adjacent swaps inside ballots.
 
 The insertion score has a closed form.  Deletion and replacement both reduce
-to a minimum multiset-cover over ballot types, solved exactly by a shared
-branch-and-bound (``_min_cover``).  The Dodgson score gets its own search
-over per-ballot lift amounts.
+to a minimum multiset-cover, solved exactly by a shared branch-and-bound
+(``_min_cover``).  The Dodgson score gets its own search over per-ballot
+lift amounts.  Both searches run over equivalence classes rather than ballot
+types: ballots that behave alike in the search (the same cover mask, or the
+same lift chain up to its last useful entry) are merged into one weighted
+item, so the work grows with the number of distinct behaviours, not with the
+number of distinct rankings.
 """
 
 from __future__ import annotations
@@ -106,19 +110,25 @@ def replacement_deficits(tally: PairwiseTally, cand: int) -> tuple[int, ...]:
 
 
 def _cover_types(e: Election, cand: int, opponents: list[int]) -> tuple[list[int], list[int]]:
-    """``_min_cover`` items: per ballot type that ranks some ``opponents[j]``
-    above ``cand``, its count and the mask of every such j."""
-    weights, masks = [], []
+    """``_min_cover`` items: one class per distinct nonzero cover mask.
+
+    The mask of a ballot has bit j set when it ranks ``opponents[j]`` above
+    ``cand``; the cover only sees masks, so ballot types sharing one are
+    merged and their counts summed.  Classes come widest-first (most bits,
+    then lowest mask): ``_min_cover`` branches on the lowest-index coverer,
+    so the widest classes are tried first and the later branches, which
+    exclude them, are pruned early.
+    """
+    bits = {x: 1 << j for j, x in enumerate(opponents)}
+    classes: dict[int, int] = {}
     for ranking, weight in e.ballot_types:
-        above = set(ranking[: ranking.index(cand)])
         mask = 0
-        for j, x in enumerate(opponents):
-            if x in above:
-                mask |= 1 << j
+        for x in ranking[: ranking.index(cand)]:
+            mask |= bits.get(x, 0)
         if mask:
-            weights.append(weight)
-            masks.append(mask)
-    return weights, masks
+            classes[mask] = classes.get(mask, 0) + weight
+    masks = sorted(classes, key=lambda mask: (-mask.bit_count(), mask))
+    return [classes[mask] for mask in masks], masks
 
 
 def _min_cover(
@@ -212,8 +222,9 @@ def replacement_score(e: Election, cand: CandidateRef, *, cutoff: int | None = N
     Rewritten ballots do best ranking ``cand`` first, after which ``cand``
     beats opponent x exactly when the rewritten set hits at least
     ``replacement_deficits`` many of the voters preferring x.  That turns
-    the score into a minimum multiset cover over ballot types.  Rewriting
-    any floor(n/2) + 1 ballots always works, which bounds the search.
+    the score into a minimum multiset cover over cover-mask classes.
+    Rewriting any floor(n/2) + 1 ballots always works, which bounds the
+    search.
 
     With ``cutoff`` set, returns None instead of any value above it; the
     search then stops exploring past the cutoff, which is what makes
@@ -268,8 +279,14 @@ def dodgson_score(e: Election, cand: CandidateRef) -> int:
     nothing else.  A lift by j in one ballot therefore gains one vote
     against each of the j candidates sitting right above ``cand``.  The
     search assigns lift amounts per ballot, sorted non-increasingly inside
-    identical ballots to skip permuted duplicates, and only ever lifts so
-    that the last candidate crossed still lacks votes.
+    each class to skip permuted duplicates, and only ever lifts so that the
+    last candidate crossed still lacks votes.
+
+    A class is the set of ballots sharing one lift chain (the candidates
+    above ``cand``, nearest first, each marked by whether it still lacks
+    votes) cut after its last candidate that does: no lift ever ends on a
+    candidate that needs no votes, so what lies past that point never
+    matters.
     """
     idx = e.candidate_index(cand)
     if e.n == 0:
@@ -285,11 +302,15 @@ def dodgson_score(e: Election, cand: CandidateRef) -> int:
         return 0
     opponents = sorted(gains)
     opp_pos = {x: j for j, x in enumerate(opponents)}
-    types = []
+    classes: dict[tuple[int | None, ...], int] = {}
     for ranking, weight in e.ballot_types:
         pos = ranking.index(idx)
-        chain = tuple(opp_pos.get(x) for x in ranking[pos - 1 :: -1]) if pos else ()
-        types.append((chain, weight))
+        chain = [opp_pos.get(x) for x in ranking[pos - 1 :: -1]] if pos else []
+        while chain and chain[-1] is None:
+            chain.pop()
+        key = tuple(chain)
+        classes[key] = classes.get(key, 0) + weight
+    types = list(classes.items())
     # Ballots whose chain helps more open deficits come first.
     types.sort(
         key=lambda tw: (
@@ -306,9 +327,8 @@ def dodgson_score(e: Election, cand: CandidateRef) -> int:
         suffix.append(row)
     suffix.reverse()
     needs0 = [gains[x] for x in opponents]
-    best = sum(
-        weight * len(chain) for chain, weight in types
-    )  # lift cand to the top everywhere: always feasible
+    # Lifting cand past every opponent in every chain is always feasible.
+    best = sum(weight * len(chain) for chain, weight in types)
     if best == 0:
         return 0
 
@@ -328,8 +348,8 @@ def dodgson_score(e: Election, cand: CandidateRef) -> int:
                 reach = suffix[t + 1][j] + (copies if j in chain else 0)
                 if reach < nd:
                     return
-        # Lift the next ballot of this type by j; j = 0 finishes the type
-        # since lifts are non-increasing within identical ballots.
+        # Lift the next ballot of this class by j; j = 0 finishes the class
+        # since lifts are non-increasing within a class.
         for j in range(min(max_lift, len(chain)), 0, -1):
             target = chain[j - 1]
             if target is None or needs[target] <= 0:
@@ -357,13 +377,18 @@ SCORE_FUNCTIONS = {
 }
 
 
-def score_table(e: Election, kind: ScoreKind) -> ScoreTable:
-    """Score every candidate under one kind.
+def require_voters(e: Election, kind: ScoreKind) -> None:
+    """Reject an empty election for the kinds it leaves undefined.
 
     Replacement and Dodgson scores are only defined once a voter exists (an
     empty election cannot be repaired in place), so those kinds reject n = 0.
     """
     if e.n == 0 and kind in (ScoreKind.REPLACEMENT, ScoreKind.DODGSON):
         raise ValueError(f"{kind.value} scores need at least one voter")
+
+
+def score_table(e: Election, kind: ScoreKind) -> ScoreTable:
+    """Score every candidate under one kind (see ``require_voters``)."""
+    require_voters(e, kind)
     fn = SCORE_FUNCTIONS[kind]
     return ScoreTable(kind, tuple(fn(e, c) for c in range(e.m)))

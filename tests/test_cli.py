@@ -92,6 +92,16 @@ class TestScore:
         assert main(["score", "maximin", profile(SMALL), "zz"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["replacement", "dodgson"])
+    def test_zero_voters_rejected_for_one_candidate_as_for_the_table(
+        self, profile, capsys, kind
+    ):
+        path = profile("2\na b\n")
+        message = f"error: {kind} scores need at least one voter\n"
+        for argv in (["score", kind, path], ["score", kind, path, "a"]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", message)
+
 
 class TestDistance:
     def test_hamming(self, profile, capsys):

@@ -1,0 +1,173 @@
+"""Cross-check the exact solvers against independent integer programs.
+
+The programs follow Bartholdi, Tovey & Trick (1989) for Dodgson and Young
+(deletion), plus the plain covering program for replacement.  They are
+built from ``Election.ballot_types`` and ``Election.tally`` alone and solved
+with ``scipy.optimize.milp``, so they share no search code with the solvers
+and reach sizes the brute-force oracle cannot enumerate.
+"""
+
+from __future__ import annotations
+
+import pathlib
+import random
+
+import pytest
+
+pytest.importorskip("scipy")
+
+import numpy as np  # noqa: E402  (scipy brings numpy)
+from scipy.optimize import Bounds, LinearConstraint, milp  # noqa: E402
+
+from votedist import (  # noqa: E402
+    INFINITY,
+    Election,
+    deletion_score,
+    dodgson_score,
+    parse_profile,
+    replacement_score,
+)
+
+NAMES = "abcdefg"
+DODGSON_POOL = pathlib.Path(__file__).with_name("dodgson_pool.profile")
+
+
+def _solve(cost, rows, lower, upper, var_upper):
+    """Minimise ``cost @ z`` over integer ``0 <= z <= var_upper`` with
+    ``lower <= rows @ z <= upper``; None when infeasible."""
+    cost = np.asarray(cost, dtype=float)
+    constraints = []
+    if rows:
+        constraints.append(LinearConstraint(np.array(rows, dtype=float), lower, upper))
+    res = milp(
+        cost,
+        constraints=constraints,
+        integrality=np.ones_like(cost),
+        bounds=Bounds(np.zeros_like(cost), np.asarray(var_upper, dtype=float)),
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return round(res.fun)
+
+
+def _above(ranking: tuple[int, ...], cand: int) -> tuple[int, ...]:
+    """The candidates a ballot ranks above ``cand``, nearest first."""
+    return ranking[: ranking.index(cand)][::-1]
+
+
+def ilp_replacement(e: Election, cand: int) -> int:
+    """x_t ballots of type t are rewritten to rank ``cand`` first."""
+    types = e.ballot_types
+    rows, lower = [], []
+    for x in range(e.m):
+        against, backing = e.tally.counts[x][cand], e.tally.counts[cand][x]
+        if x == cand or backing > against:
+            continue
+        # Each rewrite of a ballot preferring x moves one vote across.
+        rows.append([int(x in _above(r, cand)) for r, _ in types])
+        lower.append((against - backing) // 2 + 1)
+    return _solve(
+        [1] * len(types), rows, lower, [np.inf] * len(rows), [w for _, w in types]
+    )
+
+
+def ilp_deletion(e: Election, cand: int):
+    """x_t ballots of type t are deleted, K = sum(x) in all."""
+    types, n = e.ballot_types, e.n
+    rows, lower, upper = [], [], []
+    for x in range(e.m):
+        if x == cand:
+            continue
+        # 2 * hit_x - K >= 2 * against_x - n + 1: strict majority among the
+        # n - K voters kept.
+        rows.append([2 * int(x in _above(r, cand)) - 1 for r, _ in types])
+        lower.append(2 * e.tally.counts[x][cand] - n + 1)
+        upper.append(np.inf)
+    rows.append([1] * len(types))  # K <= n - 1
+    lower.append(0)
+    upper.append(n - 1)
+    value = _solve([1] * len(types), rows, lower, upper, [w for _, w in types])
+    return INFINITY if value is None else value
+
+
+def ilp_dodgson(e: Election, cand: int) -> int:
+    """y_{t,j} ballots of type t lift ``cand`` by exactly j places."""
+    types = e.ballot_types
+    threshold = e.n // 2 + 1
+    columns = []  # (type, lift)
+    for t, (ranking, _) in enumerate(types):
+        columns += [(t, j) for j in range(1, ranking.index(cand) + 1)]
+    if not columns:
+        return 0
+    rows, lower = [], []
+    for x in range(e.m):
+        gain = threshold - e.tally.counts[cand][x]
+        if x == cand or gain <= 0:
+            continue
+        # A lift by j passes the j candidates right above cand.
+        rows.append([int(x in _above(types[t][0], cand)[:j]) for t, j in columns])
+        lower.append(gain)
+    upper = [np.inf] * len(rows)
+    for t, (_, weight) in enumerate(types):
+        rows.append([int(s == t) for s, _ in columns])
+        lower.append(0)
+        upper.append(weight)
+    return _solve([j for _, j in columns], rows, lower, upper, [np.inf] * len(columns))
+
+
+def pooled_election(rng: random.Random, m: int, n: int) -> Election:
+    """Ballots mostly drawn from a pool of at most 12 rankings, so that many
+    share a cover mask or a lift chain."""
+    names = NAMES[:m]
+    pool = [rng.sample(names, m) for _ in range(rng.randint(1, 12))]
+    ballots = [
+        rng.choice(pool) if rng.random() < 0.6 else rng.sample(names, m) for _ in range(n)
+    ]
+    return Election.from_names(names, ballots)
+
+
+def impartial_election(rng: random.Random, m: int, n: int) -> Election:
+    names = NAMES[:m]
+    return Election.from_names(names, [rng.sample(names, m) for _ in range(n)])
+
+
+def test_replacement_and_deletion_match_ilp():
+    rng = random.Random(41)
+    for _ in range(70):  # 308 candidates in all
+        e = pooled_election(rng, rng.randint(2, 7), rng.randint(1, 200))
+        for c in range(e.m):
+            assert replacement_score(e, c) == ilp_replacement(e, c), (e.ballot_types, c)
+            assert deletion_score(e, c) == ilp_deletion(e, c), (e.ballot_types, c)
+
+
+def test_dodgson_matches_ilp():
+    # Impartial culture: on pool-heavy profiles the Dodgson search can still
+    # take seconds per candidate.
+    rng = random.Random(43)
+    for _ in range(50):  # 213 candidates in all
+        e = impartial_election(rng, rng.randint(2, 7), rng.randint(1, 200))
+        for c in range(e.m):
+            assert dodgson_score(e, c) == ilp_dodgson(e, c), (e.ballot_types, c)
+
+
+def test_ilp_matches_hand_checked_example(example_election):
+    e = example_election
+    assert [ilp_replacement(e, c) for c in range(4)] == [3, 4, 5, 6]
+    assert [ilp_deletion(e, c) for c in range(4)] == [12, 8, 10, 12]
+    assert [ilp_dodgson(e, c) for c in range(4)] == [6, 4, 5, 6]
+
+
+def test_ilp_deletion_reports_infeasible():
+    e = Election.from_names(["a", "b"], [["b", "a"], ["b", "a"]])
+    assert ilp_deletion(e, 0) == INFINITY
+    assert ilp_deletion(e, 1) == 0
+
+
+def test_pool_heavy_dodgson_profile():
+    # dodgson_score of "a" takes seconds here (the next search target), so
+    # the test pins the program's answer and checks the other candidates.
+    e = parse_profile(DODGSON_POOL.read_text(encoding="utf-8"))
+    assert ilp_dodgson(e, 0) == 30
+    for c in range(1, e.m):
+        assert dodgson_score(e, c) == ilp_dodgson(e, c)

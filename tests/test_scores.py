@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
-from conftest import all_elections, random_election
+from conftest import NAME_POOL, all_elections, random_election
 from votedist import (
     Election,
     INFINITY,
@@ -24,7 +27,7 @@ from votedist import (
     score_table,
     separating_example,
 )
-from votedist.scores import SCORE_FUNCTIONS
+from votedist.scores import SCORE_FUNCTIONS, _cover_types
 
 
 class TestMaximin:
@@ -114,6 +117,26 @@ class TestReplacementScore:
             for x in range(4):
                 if x != c:
                     assert (deficits[x] == 0) == (2 * t.counts[c][x] > t.n)
+
+
+class TestCoverTypes:
+    def test_one_class_per_mask_widest_first(self):
+        # m = 7 and n = 400 give hundreds of distinct rankings, but with
+        # three opponents there are at most 2^3 masks.
+        e = random_election(random.Random(5), 7, 400)
+        cand, opponents = 0, [2, 4, 5]
+        weights, masks = _cover_types(e, cand, opponents)
+        assert len(e.ballot_types) > 300
+        assert len(masks) == len(set(masks)) <= 2 ** len(opponents) - 1
+        assert 0 not in masks
+        behind = sum(
+            1
+            for ballot in e.profile
+            if any(ballot.prefers(x, cand) for x in opponents)
+        )
+        assert sum(weights) == behind
+        popcounts = [mask.bit_count() for mask in masks]
+        assert popcounts == sorted(popcounts, reverse=True)
 
 
 class TestDeletionScore:
@@ -221,3 +244,41 @@ class TestScoreTable:
             ScoreKind.DODGSON,
         ):
             assert score_table(e, kind).values == (0,)
+
+
+@st.composite
+def elections(draw, max_m: int = 5, max_n: int = 12) -> Election:
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(1, max_n))
+    rankings = draw(st.lists(st.permutations(range(m)), min_size=n, max_size=n))
+    names = NAME_POOL[:m]
+    return Election.from_names(names, [[names[i] for i in r] for r in rankings])
+
+
+class TestProperties:
+    @settings(max_examples=150)
+    @given(elections())
+    def test_replacement_is_the_cheapest_repair(self, e):
+        # A deleted voter or a voter with lifts can be rewritten instead,
+        # and rewriting any floor(n/2) + 1 voters to rank c first works.
+        for c in range(e.m):
+            replaced = replacement_score(e, c)
+            assert replaced <= e.n // 2 + 1
+            assert replaced <= dodgson_score(e, c)
+            deleted = deletion_score(e, c)
+            if deleted != INFINITY:
+                assert replaced <= deleted
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_relabelling_permutes_every_table(self, data):
+        e = data.draw(elections(max_m=4, max_n=10))
+        perm = data.draw(st.permutations(range(e.m)))
+        relabelled = Election.from_names(
+            e.candidate_names,
+            [[e.candidate_names[perm[i]] for i in ballot.ranking] for ballot in e.profile],
+        )
+        for kind in ScoreKind:
+            before = score_table(e, kind).values
+            after = score_table(relabelled, kind).values
+            assert all(after[perm[c]] == before[c] for c in range(e.m))

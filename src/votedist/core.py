@@ -105,7 +105,7 @@ class Election:
                 raise ValueError("voter names must be non-empty strings")
         m = len(self.candidates)
         for ballot in self.profile:
-            if ballot.m != m:
+            if len(ballot.ranking) != m:
                 raise ValueError("ballot does not cover the candidate roster")
 
     @classmethod

@@ -14,6 +14,10 @@ positive multiplier.  Voter identities are positional: parsing assigns
 ``v1..vn`` in line order, expanding multiplicities, so serializing and
 re-parsing reproduces an election exactly when its voters already carry the
 positional names.
+
+Each counted line becomes one validated ``PreferenceOrder`` that all of its
+voters share; the order is frozen, so sharing is safe, and a line costs one
+ballot object however large its count.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ def parse_profile(text: str) -> Election:
         raise ProfileParseError(f"line {lineno}: duplicate candidate name")
     index = {name: i for i, name in enumerate(names)}
 
-    ballots: list[tuple[int, ...]] = []
+    ballots: list[PreferenceOrder] = []
     for lineno, line in lines[2:]:
         head, sep, tail = line.partition(":")
         if not sep:
@@ -68,12 +72,12 @@ def parse_profile(text: str) -> Election:
                 f"line {lineno}: ballot must rank every candidate exactly once"
             )
         ranking = tuple(index[token] for token in entries)
-        ballots.extend([ranking] * count)
+        ballots.extend([PreferenceOrder(ranking)] * count)
 
     voters = tuple(f"v{i + 1}" for i in range(len(ballots)))
     try:
         candidates = tuple(Candidate(i, name) for i, name in enumerate(names))
-        return Election(candidates, voters, tuple(PreferenceOrder(r) for r in ballots))
+        return Election(candidates, voters, tuple(ballots))
     except ValueError as exc:
         raise ProfileParseError(str(exc)) from None
 

@@ -102,6 +102,20 @@ class TestScore:
             assert main(argv) == 1
             assert capsys.readouterr() == ("", message)
 
+    def test_recursion_limit_is_inconclusive(self, profile, capsys):
+        """A search too deep for Python's stack ends with exit 2, not a traceback.
+
+        The Dodgson search recurses once per lifted ballot, so this cyclic
+        profile (score above 1200) overflows the default recursion limit.
+        Making that search and ``_min_cover`` iterative is separate work;
+        until then the CLI reports such a search as inconclusive.
+        """
+        path = profile("3\na b c\n2400: a > b > c\n2400: b > c > a\n2399: c > a > b\n")
+        assert main(["score", "dodgson", path]) == 2
+        assert capsys.readouterr() == (
+            "inconclusive\n", "error: search exceeded Python's recursion limit\n"
+        )
+
 
 class TestDistance:
     def test_hamming(self, profile, capsys):

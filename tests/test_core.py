@@ -89,6 +89,23 @@ class TestElection:
             Election(e.candidates, ("v1",), (PreferenceOrder((1, 0)),))
         with pytest.raises(ValueError):
             Election(e.candidates, ("v1", "v2"), (PreferenceOrder((0, 1, 2)),))
+        voters = tuple(f"v{i + 1}" for i in range(1000))
+        with pytest.raises(ValueError, match="ballot does not cover the candidate roster"):
+            Election(e.candidates, voters, (PreferenceOrder((1, 0)),) * 1000)
+
+    def test_shared_ballot_summarizes_like_distinct_ballots(self):
+        rankings = [(2, 0, 1), (0, 1, 2), (2, 0, 1), (1, 2, 0), (2, 0, 1)]
+        shared = PreferenceOrder((2, 0, 1))
+        profile = tuple(shared if r == shared.ranking else PreferenceOrder(r) for r in rankings)
+        assert len({id(b) for b in profile}) == 3
+        distinct = Election.from_names(["a", "b", "c"], [["abc"[i] for i in r] for r in rankings])
+        assert len({id(b) for b in distinct.profile}) == 5
+        e = Election(distinct.candidates, distinct.voters, profile)
+        assert e == distinct
+        assert e.ballot_types == distinct.ballot_types == (
+            ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 3)
+        )
+        assert e.tally == distinct.tally == pairwise_tally(distinct)
 
     def test_delete_voters(self):
         e = Election.from_names(["a", "b"], [["a", "b"], ["b", "a"]])

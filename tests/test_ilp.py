@@ -22,14 +22,22 @@ from scipy.optimize import Bounds, LinearConstraint, milp  # noqa: E402
 from votedist import (  # noqa: E402
     INFINITY,
     Election,
+    build_election,
     deletion_score,
     dodgson_score,
+    parse_dimacs,
     parse_profile,
     replacement_score,
+    restrict,
 )
 
 NAMES = "abcdefg"
 DODGSON_POOL = pathlib.Path(__file__).with_name("dodgson_pool.profile")
+GRAPHS = {
+    "K3": "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n",
+    "C5": "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n",
+    "P4": "p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n",
+}
 
 
 def _solve(cost, rows, lower, upper, var_upper):
@@ -139,6 +147,16 @@ def test_replacement_and_deletion_match_ilp():
         for c in range(e.m):
             assert replacement_score(e, c) == ilp_replacement(e, c), (e.ballot_types, c)
             assert deletion_score(e, c) == ilp_deletion(e, c), (e.ballot_types, c)
+
+
+@pytest.mark.parametrize("budget", range(4))
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+def test_reduction_elections_match_ilp(graph, budget):
+    # m = 17..25 candidates and n = 27..39 voters, beyond brute force.
+    e = build_election(restrict(parse_dimacs(GRAPHS[graph], budget))).election
+    for c in range(e.m):
+        assert replacement_score(e, c) == ilp_replacement(e, c), (graph, budget, c)
+        assert deletion_score(e, c) == ilp_deletion(e, c), (graph, budget, c)
 
 
 def test_dodgson_matches_ilp():

@@ -36,6 +36,13 @@ class TestParseProfile:
         assert e.m == 1
         assert e.n == 3
 
+    def test_voters_of_one_line_share_one_ballot(self):
+        text = "2\na b\n3: a > b\n2: b > a\n1: a > b\n"
+        e = parse_profile(text)
+        assert [b.ranking for b in e.profile] == [(0, 1)] * 3 + [(1, 0)] * 2 + [(0, 1)]
+        assert len({id(b) for b in e.profile}) == 3
+        assert parse_profile(serialize_profile(e)) == e
+
     @pytest.mark.parametrize(
         "text",
         [

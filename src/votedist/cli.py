@@ -58,8 +58,9 @@ class _SearchTooDeep(Exception):
 
 @contextlib.contextmanager
 def _deep_search() -> Iterator[None]:
-    # The Dodgson search and _min_cover recurse once per step; only their
-    # overflow is reported as an inconclusive search.
+    # _min_cover (replacement and deletion scores, and their rules) recurses
+    # once per chosen copy; only such an overflow is reported as an
+    # inconclusive search.
     try:
         yield
     except RecursionError:

@@ -12,12 +12,15 @@ candidate beats each rival by strict majority:
 
 The insertion score has a closed form.  Deletion and replacement both reduce
 to a minimum multiset-cover, solved exactly by a shared branch-and-bound
-(``_min_cover``).  The Dodgson score gets its own search over per-ballot
-lift amounts.  Both searches run over equivalence classes rather than ballot
-types: ballots that behave alike in the search (the same cover mask, or the
-same lift chain up to its last useful entry) are merged into one weighted
-item, so the work grows with the number of distinct behaviours, not with the
-number of distinct rankings.
+(``_min_cover``); deletion only asks whether a cover fits each budget.  The
+Dodgson score gets its own search over class-level lift counts (how many
+copies of a class lift ``cand`` to each slot of its chain), started from a
+greedy incumbent and pruned by the Lagrangian (LP) bound of the per-opponent
+needs, evaluated in integers.  Both searches run over equivalence classes
+rather than ballot types: ballots that behave alike in the search (the same
+cover mask, or the same lift chain up to its last useful entry) are merged
+into one weighted item, so the work grows with the number of distinct
+behaviours, not with the number of distinct rankings.
 """
 
 from __future__ import annotations
@@ -138,6 +141,7 @@ def _min_cover(
     *,
     budget: int | None = None,
     known_upper: int | None = None,
+    _first: bool = False,
 ) -> int | None:
     """Exact minimum multiset cover over typed items.
 
@@ -146,7 +150,9 @@ def _min_cover(
     ``needs[j]`` chosen copies.  Returns the smallest multiset size, or None
     if no solution fits within ``budget``.  ``known_upper`` may supply a
     size that is known to be feasible without listing a witness; it seeds
-    the incumbent, and is returned when nothing smaller exists.
+    the incumbent, and is returned when nothing smaller exists.  With
+    ``_first`` set, the search stops at the first cover within ``budget``
+    and returns its size, which need not be the minimum.
 
     The search branches on the constraint covered by the fewest types and
     partitions solutions by the lowest-index type covering it, excluding
@@ -209,6 +215,8 @@ def _min_cover(
             navail[i] -= 1
             nneeds = [needs[j] - (masks[i] >> j & 1) for j in range(k)]
             dfs(chosen + 1, navail, nneeds)
+            if _first and best is not None:
+                return
 
     dfs(0, list(weights), needs)
     if best is not None and (budget is None or best <= budget):
@@ -266,9 +274,143 @@ def deletion_score(e: Election, cand: CandidateRef) -> Value:
         needs = [a - (kept - 1) // 2 for a in against]
         if max(needs, default=0) > removed:
             continue
-        if _min_cover(weights, masks, needs, budget=removed) is not None:
+        if _min_cover(weights, masks, needs, budget=removed, _first=True) is not None:
             return removed
     return INFINITY
+
+
+# Each multiplier λ_c of the Dodgson bound is chosen in floats, then applied
+# as the integer numerator p_c of p_c / _DENOM, so every bound the search
+# prunes with is evaluated exactly.
+_DENOM = 1 << 16
+# Subgradient steps at the root (deflected, see _lift_search) and at every
+# other node (warm-started from its parent).
+_ROOT_STEPS = 40
+_NODE_STEPS = 8
+
+
+def _lift_classes(
+    e: Election, idx: int
+) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
+    """The Dodgson lift program of ``idx``: needs, cut chains and weights.
+
+    ``needs[c]`` is the number of votes ``idx`` must gain against the c-th
+    opponent it does not yet beat by strict majority.  A chain lists the
+    candidates right above ``idx`` in a ballot, nearest first, as opponent
+    numbers, with ``len(needs)`` standing for every candidate that needs no
+    votes.  It is cut after its last opponent that does, since no lift ever
+    ends on any other candidate.  Ballot types with equal cut chains merge
+    into one class weighted by their total count; empty chains are dropped.
+    Chains reaching more opponents come first.
+    """
+    tally = e.tally
+    threshold = e.n // 2 + 1
+    opponents = [x for x in range(e.m) if x != idx and tally.counts[idx][x] < threshold]
+    needs = [threshold - tally.counts[idx][x] for x in opponents]
+    closed = len(opponents)
+    opp_pos = {x: c for c, x in enumerate(opponents)}
+    classes: dict[tuple[int, ...], int] = {}
+    for ranking, weight in e.ballot_types:
+        pos = ranking.index(idx)
+        chain = [opp_pos.get(x, closed) for x in ranking[pos - 1 :: -1]] if pos else []
+        while chain and chain[-1] == closed:
+            chain.pop()
+        if chain:
+            key = tuple(chain)
+            classes[key] = classes.get(key, 0) + weight
+    chains = sorted(classes, key=lambda chain: (-sum(c < closed for c in chain), chain))
+    return needs, chains, [classes[chain] for chain in chains]
+
+
+def _greedy_lifts(needs: list[int], chains: list[tuple[int, ...]], weights: list[int]) -> int:
+    """Cost of one feasible set of lifts, an upper bound on the Dodgson score.
+
+    Pass j = 1, 2, ... extends the copies lifted j - 1 places by one more
+    place wherever ``chain[j - 1]`` still lacks votes, so each such swap
+    gains an open vote.  A pass visits only the classes the previous pass
+    extended, so all passes together take time linear in the total chain
+    length.  ``_complete_lifts`` then closes what is left.
+    """
+    closed = len(needs)
+    needs = [*needs, 0]
+    levels = [[w] + [0] * len(chain) for chain, w in zip(chains, weights)]
+    cost = 0
+    active = range(len(chains))
+    j = 0
+    while active:
+        moved = []
+        for t in active:
+            chain, level = chains[t], levels[t]
+            if j < len(chain):
+                h = min(level[j], needs[chain[j]])
+                if h > 0:
+                    level[j] -= h
+                    level[j + 1] += h
+                    needs[chain[j]] -= h
+                    cost += h
+                    moved.append(t)
+        active = moved
+        j += 1
+    return cost + _complete_lifts(needs, chains, levels, [_DENOM] * closed + [0])
+
+
+def _complete_lifts(
+    needs: list[int], chains: list[tuple[int, ...]], levels: list[list[int]], p: list[int]
+) -> int:
+    """Extend and trim lifts until no need is open; return the added cost.
+
+    ``levels[t][l]`` counts the copies of class t lifted exactly l places,
+    and ``needs`` (closed-slot entry last) what each opponent still lacks;
+    both are updated in place.  While a need is open, the extension passing
+    an open opponent with the lowest Lagrangian cost runs: passing slot c
+    costs ``_DENOM - p[c]`` while c lacks votes and ``_DENOM`` after, so with
+    every ``p[c] = _DENOM`` this counts the swaps gaining nothing.  A
+    per-opponent index of chain slots lists the candidate extensions.  Then
+    lifts ending on an opponent with votes to spare are shortened.
+    """
+    closed = len(needs) - 1
+    index: list[list[tuple[int, int]]] = [[] for _ in range(closed)]
+    for t, chain in enumerate(chains):
+        for i, c in enumerate(chain):
+            if c < closed:
+                index[c].append((t, i))
+    cost = 0
+    while any(needs[c] > 0 for c in range(closed)):
+        pick = None
+        for c in range(closed):
+            if needs[c] > 0:
+                for t, i in index[c]:
+                    # The cheapest copy to lift past slot i sits at the
+                    # highest occupied level not above i.
+                    level = levels[t]
+                    low = i
+                    while low >= 0 and not level[low]:
+                        low -= 1
+                    if low >= 0:
+                        price = sum(
+                            _DENOM - p[x] if needs[x] > 0 else _DENOM
+                            for x in chains[t][low : i + 1]
+                        )
+                        key = (price, i + 1 - low, t, low, i)
+                        if pick is None or key < pick:
+                            pick = key
+        _, step, t, low, i = pick
+        passed = chains[t][low : i + 1]
+        h = min(levels[t][low], min(needs[x] for x in passed if needs[x] > 0))
+        levels[t][low] -= h
+        levels[t][i + 1] += h
+        for x in passed:
+            needs[x] -= h
+        cost += h * step
+    for chain, level in zip(chains, levels):
+        for l in range(len(chain), 0, -1):
+            h = min(level[l], -needs[chain[l - 1]])
+            if h > 0:
+                level[l] -= h
+                level[l - 1] += h
+                needs[chain[l - 1]] += h
+                cost -= h
+    return cost
 
 
 def dodgson_score(e: Election, cand: CandidateRef) -> int:
@@ -276,96 +418,172 @@ def dodgson_score(e: Election, cand: CandidateRef) -> int:
 
     Only swaps moving ``cand`` upward help: lifting ``cand`` over the
     neighbour above gains exactly one vote against that neighbour and
-    nothing else.  A lift by j in one ballot therefore gains one vote
-    against each of the j candidates sitting right above ``cand``.  The
-    search assigns lift amounts per ballot, sorted non-increasingly inside
-    each class to skip permuted duplicates, and only ever lifts so that the
-    last candidate crossed still lacks votes.
+    nothing else.  A lift by l in one ballot therefore gains one vote
+    against each of the l candidates sitting right above ``cand``.  Ballots
+    sharing one cut lift chain form a class (``_lift_classes``), and the
+    search decides, class by class and from the longest lift down, how many
+    copies of the class lift ``cand`` to end exactly at each chain slot:
+    the lift program of Bartholdi, Tovey & Trick (1989), aggregated over
+    classes.  A lift only ends on an opponent that still lacks votes, and
+    never gives it more than it lacks.
 
-    A class is the set of ballots sharing one lift chain (the candidates
-    above ``cand``, nearest first, each marked by whether it still lacks
-    votes) cut after its last candidate that does: no lift ever ends on a
-    candidate that needs no votes, so what lies past that point never
-    matters.
+    The incumbent starts at ``_greedy_lifts``, which is returned at once
+    when it equals the open needs, a lower bound (each swap gains at most
+    one vote).  Otherwise each node is pruned by its open needs, by each
+    opponent's reach, and only then by the Lagrangian relaxation of the
+    per-opponent needs: for multipliers ``λ``, each class is solved alone
+    by the minimum prefix sum of ``1 - λ_c`` along its chain, and the best
+    ``λ`` gives the LP bound.  Subgradient steps choose ``λ`` in floats;
+    the bound is evaluated in integers on ``λ`` rounded to a fixed
+    denominator, so rounding never over-prunes.  The search keeps an
+    explicit stack, so its depth does not depend on Python's recursion
+    limit.
     """
     idx = e.candidate_index(cand)
     if e.n == 0:
         raise ValueError("dodgson score needs at least one voter")
-    tally = e.tally
-    threshold = e.n // 2 + 1
-    gains = {
-        x: threshold - tally.counts[idx][x]
-        for x in range(e.m)
-        if x != idx and tally.counts[idx][x] < threshold
-    }
-    if not gains:
-        return 0
-    opponents = sorted(gains)
-    opp_pos = {x: j for j, x in enumerate(opponents)}
-    classes: dict[tuple[int | None, ...], int] = {}
-    for ranking, weight in e.ballot_types:
-        pos = ranking.index(idx)
-        chain = [opp_pos.get(x) for x in ranking[pos - 1 :: -1]] if pos else []
-        while chain and chain[-1] is None:
-            chain.pop()
-        key = tuple(chain)
-        classes[key] = classes.get(key, 0) + weight
-    types = list(classes.items())
-    # Ballots whose chain helps more open deficits come first.
-    types.sort(
-        key=lambda tw: (
-            -sum(1 for c in tw[0] if c is not None),
-            tuple(-1 if c is None else c for c in tw[0]),
-        )
-    )
-    suffix = [[0] * len(opponents)]
-    for chain, weight in reversed(types):
-        row = list(suffix[-1])
-        for c in set(chain):
-            if c is not None:
-                row[c] += weight
-        suffix.append(row)
-    suffix.reverse()
-    needs0 = [gains[x] for x in opponents]
-    # Lifting cand past every opponent in every chain is always feasible.
-    best = sum(weight * len(chain) for chain, weight in types)
-    if best == 0:
-        return 0
+    needs, chains, weights = _lift_classes(e, idx)
+    best = _greedy_lifts(needs, chains, weights)
+    if best == sum(needs):
+        return best
+    return _lift_search(needs, chains, weights, best)
 
-    def dfs(t: int, copies: int, max_lift: int, needs: list[int], cost: int) -> None:
+
+def _lift_search(
+    needs: list[int], chains: list[tuple[int, ...]], weights: list[int], best: int
+) -> int:
+    """Branch and bound over class-level lift counts below incumbent ``best``.
+
+    A node is (class t, slot e, copies r of class t still unassigned, cost
+    so far, residual needs); its children give h = 0..min(r, need of
+    ``chains[t][e - 1]``) copies a lift ending at slot e.
+    """
+    closed = len(needs)
+    classes = len(chains)
+    # reach[t][c]: copies in classes t, t + 1, ... whose chain passes c.
+    reach = [[0] * (closed + 1) for _ in range(classes + 1)]
+    for t in range(classes - 1, -1, -1):
+        reach[t] = list(reach[t + 1])
+        for c in chains[t]:
+            reach[t][c] += weights[t]
+    # slot[t][c]: position of c in chain t, past its end if absent.
+    slot = []
+    for chain in chains:
+        row = [len(chain)] * (closed + 1)
+        for i, c in enumerate(chain):
+            row[c] = i
+        slot.append(row)
+
+    def relax(t, e, r, cost, needs, lam, root):
+        """Prune by the Lagrangian bound; else return the last multipliers
+        and whether class t's relaxed lift reaches slot e.
+
+        Each step also completes the relaxed lifts into feasible ones
+        (``_complete_lifts``) for a new incumbent.  The step length follows
+        Polyak's rule toward ``best`` and halves after three steps without
+        a better bound.  The root, which starts from ``λ = 1``, takes more
+        steps and deflects each one (Camerini, Fratta & Maffioli, 1975).
+        """
         nonlocal best
-        open_needs = sum(nd for nd in needs if nd > 0)
-        if open_needs == 0:
-            best = min(best, cost)
-            return
-        if cost + open_needs >= best:
-            return
-        if t == len(types):
-            return
-        chain, weight = types[t]
-        for j, nd in enumerate(needs):
-            if nd > 0:
-                reach = suffix[t + 1][j] + (copies if j in chain else 0)
-                if reach < nd:
-                    return
-        # Lift the next ballot of this class by j; j = 0 finishes the class
-        # since lifts are non-increasing within a class.
-        for j in range(min(max_lift, len(chain)), 0, -1):
-            target = chain[j - 1]
-            if target is None or needs[target] <= 0:
-                continue
-            nneeds = list(needs)
-            for c in chain[:j]:
-                if c is not None:
-                    nneeds[c] -= 1
-            if copies > 1:
-                dfs(t, copies - 1, j, nneeds, cost + j)
+        # An opponent without needs keeps λ = 0: its constraint holds anyway.
+        lam = [x if nd > 0 else 0.0 for x, nd in zip(lam, needs)]
+        sub_chains = [chains[t][:e], *chains[t + 1 :]]
+        sub_weights = [r, *weights[t + 1 :]]
+        theta = 2.0
+        top = stall = 0
+        direction = [0.0] * closed
+        for step in range(_ROOT_STEPS if root else _NODE_STEPS):
+            p = [round(x * _DENOM) for x in lam]
+            value = sum(pc * nd for pc, nd in zip(p, needs))
+            gains = [0] * (closed + 1)
+            levels = []
+            relaxed = 0
+            for chain, w in zip(sub_chains, sub_weights):
+                run = low = cut = 0
+                for i, c in enumerate(chain, 1):
+                    run += _DENOM - p[c]
+                    if run <= low:
+                        low, cut = run, i
+                value += w * low
+                relaxed += w * cut
+                for c in chain[:cut]:
+                    gains[c] += w
+                levels.append([0] * cut + [w] + [0] * (len(chain) - cut))
+            bound = -(-value // _DENOM)
+            if cost + bound >= best:
+                return None
+            if step == 0 or bound > top:
+                top, stall = bound, 0
             else:
-                dfs(t + 1, types[t + 1][1] if t + 1 < len(types) else 0, e.m, nneeds, cost + j)
-        dfs(t + 1, types[t + 1][1] if t + 1 < len(types) else 0, e.m, needs, cost)
+                stall += 1
+                if stall == 3:
+                    theta, stall = theta / 2, 0
+            reach_e = levels[0][e] > 0
+            residual = [nd - g for nd, g in zip(needs, gains)]
+            relaxed += _complete_lifts(residual, sub_chains, levels, p)
+            best = min(best, cost + relaxed)
+            if cost + bound >= best:
+                return None
+            sub = [needs[c] - gains[c] if needs[c] > 0 else 0 for c in range(closed)]
+            if root:
+                dot = sum(a * b for a, b in zip(sub, direction))
+                if dot < 0:
+                    beta = -1.5 * dot / sum(b * b for b in direction)
+                    sub = [a + beta * b for a, b in zip(sub, direction)]
+                direction = sub
+            norm = sum(s * s for s in sub)
+            if not norm:
+                break
+            alpha = theta * (best - cost - value / _DENOM) / norm
+            lam = [max(0.0, x + alpha * s) for x, s in zip(lam, sub)] + [0.0]
+        return lam, reach_e
 
-    dfs(0, types[0][1], e.m, needs0, 0)
-    return best
+    stack: list[tuple] = []
+    node = (0, len(chains[0]), weights[0], 0, [*needs, 0], [1.0] * closed + [0.0])
+    while True:
+        if node is not None:
+            t, e, r, cost, needs, lam = node
+            node = None
+            # Skip slots where no lift may end.
+            while t < classes and not (r and e and needs[chains[t][e - 1]] > 0):
+                if r and e > 1:
+                    e -= 1
+                else:
+                    t += 1
+                    if t < classes:
+                        r, e = weights[t], len(chains[t])
+            open_needs = sum(nd for nd in needs[:closed] if nd > 0)
+            if open_needs == 0:
+                best = min(best, cost)
+            elif (
+                cost + open_needs < best
+                and t < classes
+                and all(
+                    reach[t + 1][c] + (r if slot[t][c] < e else 0) >= needs[c]
+                    for c in range(closed)
+                    if needs[c] > 0
+                )
+            ):
+                # Only the root is expanded while the stack is empty.
+                relaxed = relax(t, e, r, cost, needs, lam, root=not stack)
+                if relaxed is not None:
+                    lam, lift_all = relaxed
+                    most = min(r, needs[chains[t][e - 1]])
+                    # Try first what the relaxation does with the class.
+                    hs = range(most, -1, -1) if lift_all else range(most + 1)
+                    stack.append((t, e, r, cost, needs, lam, iter(hs)))
+        if not stack:
+            return best
+        t, e, r, cost, needs, lam, hs = stack[-1]
+        h = next(hs, None)
+        if h is None:
+            stack.pop()
+            continue
+        if h:
+            needs = list(needs)
+            for c in chains[t][:e]:
+                needs[c] -= h
+        node = (t, e - 1, r - h, cost + h * e, needs, lam)
 
 
 SCORE_FUNCTIONS = {

@@ -15,6 +15,7 @@ import pytest
 import votedist
 from votedist import ScoreKind, separating_example, serialize_profile
 from votedist.cli import main
+from votedist.scores import SCORE_FUNCTIONS
 
 EXAMPLE = serialize_profile(separating_example())
 SMALL = "3\na b c\n2: a > b > c\n1: b > c > a\n"
@@ -102,19 +103,30 @@ class TestScore:
             assert main(argv) == 1
             assert capsys.readouterr() == ("", message)
 
-    def test_recursion_limit_is_inconclusive(self, profile, capsys):
+    def test_recursion_limit_is_inconclusive(self, profile, capsys, monkeypatch):
         """A search too deep for Python's stack ends with exit 2, not a traceback.
 
-        The Dodgson search recurses once per lifted ballot, so this cyclic
-        profile (score above 1200) overflows the default recursion limit.
-        Making that search and ``_min_cover`` iterative is separate work;
-        until then the CLI reports such a search as inconclusive.
+        ``_min_cover`` still recurses once per chosen copy, so a score search
+        can overflow; a stand-in search that raises shows the CLI's answer.
         """
+
+        def overflow(e, cand):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setitem(SCORE_FUNCTIONS, ScoreKind.REPLACEMENT, overflow)
+        path = profile(SMALL)
+        for argv in (["score", "replacement", path], ["score", "replacement", path, "a"]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == (
+                "inconclusive\n", "error: search exceeded Python's recursion limit\n"
+            )
+
+    def test_dodgson_of_heavy_cyclic_profile(self, profile, capsys):
+        # Each score lifts over a thousand ballots, one search level per
+        # chain slot rather than per lifted ballot.
         path = profile("3\na b c\n2400: a > b > c\n2400: b > c > a\n2399: c > a > b\n")
-        assert main(["score", "dodgson", path]) == 2
-        assert capsys.readouterr() == (
-            "inconclusive\n", "error: search exceeded Python's recursion limit\n"
-        )
+        assert main(["score", "dodgson", path]) == 0
+        assert capsys.readouterr() == ("a\t1200\nb\t1200\nc\t1201\n", "")
 
 
 class TestDistance:

@@ -19,6 +19,7 @@ pytest.importorskip("scipy")
 import numpy as np  # noqa: E402  (scipy brings numpy)
 from scipy.optimize import Bounds, LinearConstraint, milp  # noqa: E402
 
+from votedist import scores  # noqa: E402
 from votedist import (  # noqa: E402
     INFINITY,
     Election,
@@ -33,6 +34,7 @@ from votedist import (  # noqa: E402
 
 NAMES = "abcdefg"
 DODGSON_POOL = pathlib.Path(__file__).with_name("dodgson_pool.profile")
+DODGSON_74 = pathlib.Path(__file__).with_name("dodgson_74.profile")
 GRAPHS = {
     "K3": "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n",
     "C5": "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n",
@@ -160,13 +162,28 @@ def test_reduction_elections_match_ilp(graph, budget):
 
 
 def test_dodgson_matches_ilp():
-    # Impartial culture: on pool-heavy profiles the Dodgson search can still
-    # take seconds per candidate.
     rng = random.Random(43)
-    for _ in range(50):  # 213 candidates in all
-        e = impartial_election(rng, rng.randint(2, 7), rng.randint(1, 200))
-        for c in range(e.m):
-            assert dodgson_score(e, c) == ilp_dodgson(e, c), (e.ballot_types, c)
+    for draw in (impartial_election, pooled_election):
+        for _ in range(50):
+            e = draw(rng, rng.randint(2, 7), rng.randint(1, 200))
+            for c in range(e.m):
+                assert dodgson_score(e, c) == ilp_dodgson(e, c), (e.ballot_types, c)
+
+
+def test_dodgson_search_alone_matches_ilp(monkeypatch):
+    # The completion heuristic supplies most incumbents; without it the
+    # greedy incumbent is vacuous and the branch and bound must find every
+    # optimum at its own leaves, so a pruning or branching fault shows.
+    def no_completion(needs, chains, levels, p):
+        return 0 if all(nd <= 0 for nd in needs[:-1]) else 10**9
+
+    monkeypatch.setattr(scores, "_complete_lifts", no_completion)
+    rng = random.Random(44)
+    for draw in (impartial_election, pooled_election):
+        for _ in range(60):
+            e = draw(rng, rng.randint(2, 6), rng.randint(1, 40))
+            for c in range(e.m):
+                assert dodgson_score(e, c) == ilp_dodgson(e, c), (e.ballot_types, c)
 
 
 def test_ilp_matches_hand_checked_example(example_election):
@@ -183,9 +200,14 @@ def test_ilp_deletion_reports_infeasible():
 
 
 def test_pool_heavy_dodgson_profile():
-    # dodgson_score of "a" takes seconds here (the next search target), so
-    # the test pins the program's answer and checks the other candidates.
     e = parse_profile(DODGSON_POOL.read_text(encoding="utf-8"))
-    assert ilp_dodgson(e, 0) == 30
-    for c in range(1, e.m):
+    assert dodgson_score(e, "a") == 30
+    for c in range(e.m):
+        assert dodgson_score(e, c) == ilp_dodgson(e, c)
+
+
+def test_74_voter_dodgson_profile():
+    e = parse_profile(DODGSON_74.read_text(encoding="utf-8"))
+    assert dodgson_score(e, "e") == 84
+    for c in range(e.m):
         assert dodgson_score(e, c) == ilp_dodgson(e, c)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +24,22 @@ from votedist import (
     insertion_score,
     maximin_score,
     pairwise_tally,
+    parse_profile,
     replacement_deficits,
     replacement_score,
     score_table,
     separating_example,
 )
-from votedist.scores import SCORE_FUNCTIONS, _cover_types
+from votedist.scores import SCORE_FUNCTIONS, _cover_types, _greedy_lifts, _lift_classes
+
+TESTS = pathlib.Path(__file__).parent
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 class TestMaximin:
@@ -192,6 +204,20 @@ class TestDodgsonScore:
         with pytest.raises(ValueError):
             dodgson_score(e, "a")
 
+    @pytest.mark.parametrize(
+        "name, cand, score", [("dodgson_pool.profile", "a", 30), ("dodgson_74.profile", "e", 84)]
+    )
+    def test_search_holds_no_frame_per_slot(self, name, cand, score):
+        # The search runs many levels deep here and may hold no frame per level.
+        e = parse_profile((TESTS / name).read_text(encoding="utf-8"))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 50)
+        try:
+            value = dodgson_score(e, cand)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value == score
+
 
 class TestScoreTable:
     def test_example_tables(self, example_election):
@@ -268,6 +294,14 @@ class TestProperties:
             deleted = deletion_score(e, c)
             if deleted != INFINITY:
                 assert replaced <= deleted
+
+    @settings(max_examples=150)
+    @given(elections(max_m=6, max_n=30))
+    def test_dodgson_between_open_needs_and_greedy(self, e):
+        # Each swap gains at most one vote; the greedy lifts are feasible.
+        for c in range(e.m):
+            needs, chains, weights = _lift_classes(e, c)
+            assert sum(needs) <= dodgson_score(e, c) <= _greedy_lifts(needs, chains, weights)
 
     @settings(max_examples=100)
     @given(st.data())

@@ -7,10 +7,9 @@ certified answer.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
 from .core import Election
 from .distances import INFINITY, ElectionMetric, Value, election_distance
@@ -52,21 +51,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-class _SearchTooDeep(Exception):
-    """A winner or score search overflowed Python's recursion limit."""
-
-
-@contextlib.contextmanager
-def _deep_search() -> Iterator[None]:
-    # _min_cover (replacement and deletion scores, and their rules) recurses
-    # once per chosen copy; only such an overflow is reported as an
-    # inconclusive search.
-    try:
-        yield
-    except RecursionError:
-        raise _SearchTooDeep from None
-
-
 def _load_profile(path: str) -> Election:
     with open(path, encoding="utf-8") as handle:
         return parse_profile(handle.read())
@@ -81,9 +65,7 @@ def _format_value(value: Value) -> str:
 
 
 def _cmd_winners(args: argparse.Namespace) -> int:
-    e = _load_profile(args.file)
-    with _deep_search():
-        result = _RULES[args.rule](e)
+    result = _RULES[args.rule](_load_profile(args.file))
     for cand in result.winners:
         print(cand.name)
     return EXIT_OK
@@ -95,12 +77,10 @@ def _cmd_score(args: argparse.Namespace) -> int:
     if args.candidate is not None:
         idx = e.candidate_index(args.candidate)
         require_voters(e, kind)
-        with _deep_search():
-            value = SCORE_FUNCTIONS[kind](e, idx)
+        value = SCORE_FUNCTIONS[kind](e, idx)
         print(f"{e.candidate_names[idx]}\t{_format_value(value)}")
         return EXIT_OK
-    with _deep_search():
-        table = score_table(e, kind)
+    table = score_table(e, kind)
     for name, value in zip(e.candidate_names, table.values):
         print(f"{name}\t{_format_value(value)}")
     return EXIT_OK
@@ -228,10 +208,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except InconclusiveSearch:
         print("inconclusive")
-        return EXIT_INCONCLUSIVE
-    except _SearchTooDeep:
-        print("inconclusive")
-        print("error: search exceeded Python's recursion limit", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

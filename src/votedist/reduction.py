@@ -112,32 +112,77 @@ def vc_exact(g: VcInstance) -> int:
     """Size of a minimum vertex cover, by branch and bound.
 
     Branches on a maximum-degree vertex: either it joins the cover, or all
-    of its neighbours must.  Intended for the small instances the reduction
-    tests use; the search is exponential in general.
+    of its neighbours must.  The search edits one adjacency structure in
+    place and undoes each branch on the way back, on an explicit stack, so
+    neither its depth nor its memory grows by a graph copy per level.
+    Intended for the small instances the reduction tests use; the search is
+    exponential in general.
     """
-    adj: dict[int, set[int]] = {v: set() for v in range(g.vertex_count)}
+    adj = [set() for _ in range(g.vertex_count)]
     for u, v in g.edges:
         adj[u].add(v)
         adj[v].add(u)
-    best = sum(1 for v in adj if adj[v])
+    live = {v for v in range(g.vertex_count) if adj[v]}
+    edges = len(g.edges)
+    best = len(live)
 
-    def bb(live: dict[int, set[int]], acc: int) -> None:
+    def remove(vertices: tuple[int, ...]) -> list[tuple[int, set[int]]]:
+        """Delete the edges of ``vertices``; return what ``restore`` needs."""
+        nonlocal edges
+        removed = []
+        for v in vertices:
+            if v in live:
+                for u in adj[v]:
+                    adj[u].discard(v)
+                    if not adj[u]:
+                        live.discard(u)
+                live.discard(v)
+                edges -= len(adj[v])
+                removed.append((v, adj[v]))
+                adj[v] = set()
+        return removed
+
+    def restore(removed: list[tuple[int, set[int]]]) -> None:
+        nonlocal edges
+        for v, ns in reversed(removed):
+            adj[v] = ns
+            live.add(v)
+            edges += len(ns)
+            for u in ns:
+                adj[u].add(v)
+                live.add(u)
+
+    def branch_vertex(acc: int) -> int | None:
+        """The vertex to branch on, or None once the node is settled."""
         nonlocal best
-        live = {v: ns for v, ns in live.items() if ns}
         if not live:
             best = min(best, acc)
-            return
-        edge_count = sum(len(ns) for ns in live.values()) // 2
-        pick = min(live, key=lambda v: (-len(live[v]), v))
-        degree = len(live[pick])
-        if acc + -(-edge_count // degree) >= best:
-            return
-        bb({v: ns - {pick} for v, ns in live.items() if v != pick}, acc + 1)
-        nbrs = live[pick]
-        gone = nbrs | {pick}
-        bb({v: ns - gone for v, ns in live.items() if v not in gone}, acc + len(nbrs))
+            return None
+        pick = min(live, key=lambda v: (-len(adj[v]), v))
+        if acc + -(-edges // len(adj[pick])) >= best:
+            return None
+        return pick
 
-    bb(adj, 0)
+    # Each frame: the branching vertex, the cover size so far, the removals
+    # of its current branch, and that branch (0: the vertex joins, 1: its
+    # neighbours join, 2: done).
+    stack = []
+    pick = branch_vertex(0)
+    if pick is not None:
+        stack.append([pick, 0, [], 0])
+    while stack:
+        frame = stack[-1]
+        pick, acc, removed, branch = frame
+        restore(removed)
+        if branch == 2:
+            stack.pop()
+            continue
+        chosen = (pick,) if branch == 0 else (pick, *adj[pick])
+        acc += 1 if branch == 0 else len(chosen) - 1
+        frame[2], frame[3] = remove(chosen), branch + 1
+        child = branch_vertex(acc)
+        if child is not None:
+            stack.append([child, acc, [], 0])
     return best
 
 

@@ -11,21 +11,24 @@ candidate beats each rival by strict majority:
 * ``dodgson_score``: fewest adjacent swaps inside ballots.
 
 The insertion score has a closed form.  Deletion and replacement both reduce
-to a minimum multiset-cover, solved exactly by a shared branch-and-bound
-(``_min_cover``); deletion only asks whether a cover fits each budget.  The
-Dodgson score gets its own search over class-level lift counts (how many
-copies of a class lift ``cand`` to each slot of its chain), started from a
-greedy incumbent and pruned by the Lagrangian (LP) bound of the per-opponent
-needs, evaluated in integers.  Both searches run over equivalence classes
-rather than ballot types: ballots that behave alike in the search (the same
-cover mask, or the same lift chain up to its last useful entry) are merged
-into one weighted item, so the work grows with the number of distinct
-behaviours, not with the number of distinct rankings.
+to a minimum multiset cover over cover-mask classes, solved exactly by one
+branch and bound (``_min_cover``); deletion only asks whether a cover fits
+each budget.  The Dodgson score gets its own search over class-level lift
+counts (how many copies of a class lift ``cand`` to each slot of its chain).
+Both searches follow one template: they branch on how many copies of a class
+to take (or to lift to each slot) on an explicit stack, so their depth does
+not depend on the weights or on Python's recursion limit; they start from a
+greedy incumbent; and they prune by cheap counting bounds first and only then
+by the Lagrangian (LP) bound of the per-opponent needs, evaluated in
+integers.  Both run over equivalence classes rather than ballot types:
+ballots that behave alike in the search (the same cover mask, or the same
+lift chain up to its last useful entry) are merged into one weighted item,
+so the work grows with the number of distinct behaviours, not with the
+number of distinct rankings.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -118,20 +121,77 @@ def _cover_types(e: Election, cand: int, opponents: list[int]) -> tuple[list[int
     The mask of a ballot has bit j set when it ranks ``opponents[j]`` above
     ``cand``; the cover only sees masks, so ballot types sharing one are
     merged and their counts summed.  Classes come widest-first (most bits,
-    then lowest mask): ``_min_cover`` branches on the lowest-index coverer,
-    so the widest classes are tried first and the later branches, which
-    exclude them, are pruned early.
+    then lowest mask): ``_min_cover`` decides the classes in this order, so
+    the copies meeting the most needs are counted first.
     """
-    bits = {x: 1 << j for j, x in enumerate(opponents)}
+    bits = [0] * e.m
+    for j, x in enumerate(opponents):
+        bits[x] = 1 << j
     classes: dict[int, int] = {}
     for ranking, weight in e.ballot_types:
         mask = 0
-        for x in ranking[: ranking.index(cand)]:
-            mask |= bits.get(x, 0)
+        for x in ranking:
+            if x == cand:
+                break
+            mask |= bits[x]
         if mask:
             classes[mask] = classes.get(mask, 0) + weight
     masks = sorted(classes, key=lambda mask: (-mask.bit_count(), mask))
     return [classes[mask] for mask in masks], masks
+
+
+# Each multiplier λ_j of a Lagrangian bound is chosen in floats, then applied
+# as the integer numerator p_j of p_j / _DENOM, so every bound a search
+# prunes with is evaluated exactly.
+_DENOM = 1 << 16
+# Subgradient steps at the root (deflected, see _cover_relax and
+# _lift_search) and at every other node (warm-started from its parent).
+_ROOT_STEPS = 40
+_NODE_STEPS = 8
+
+
+def _greedy_cover(weights: list[int], masks: list[int], needs: list[int]) -> int | None:
+    """Size of one cover, an upper bound on ``_min_cover``; None if none exists.
+
+    Each pick takes the class covering the most open constraints, as many
+    copies as the smallest open need it covers allows (or as it has left).
+    Then copies whose every constraint is covered with room to spare are
+    dropped, narrowest class first.  The greedy fails only when even every
+    copy falls short.
+    """
+    k = len(needs)
+    needs = [max(0, nd) for nd in needs]
+    left = list(weights)
+    open_mask = sum(1 << j for j, nd in enumerate(needs) if nd > 0)
+    while open_mask:
+        width = open_mask.bit_count()
+        t = most = 0
+        for s, mask in enumerate(masks):
+            if left[s]:
+                covers = (mask & open_mask).bit_count()
+                if covers > most:
+                    t, most = s, covers
+                    if covers == width:
+                        break
+        if not most:
+            return None
+        cover = [j for j in range(k) if masks[t] >> j & 1]
+        h = min(left[t], min(needs[j] for j in cover if needs[j] > 0))
+        left[t] -= h
+        for j in cover:
+            needs[j] -= h
+            if needs[j] <= 0:
+                open_mask &= ~(1 << j)
+    size = 0
+    for t in range(len(masks) - 1, -1, -1):
+        taken = weights[t] - left[t]
+        if taken:
+            cover = [j for j in range(k) if masks[t] >> j & 1]
+            h = min(taken, min(-needs[j] for j in cover))
+            for j in cover:
+                needs[j] += h
+            size += taken - h
+    return size
 
 
 def _min_cover(
@@ -140,88 +200,192 @@ def _min_cover(
     needs: list[int],
     *,
     budget: int | None = None,
-    known_upper: int | None = None,
-    _first: bool = False,
+    feasible: bool = False,
 ) -> int | None:
     """Exact minimum multiset cover over typed items.
 
-    Type i has ``weights[i]`` identical copies and covers the constraints in
-    bitmask ``masks[i]``; constraint j must be covered by at least
+    Class t has ``weights[t]`` identical copies and covers the constraints
+    in bitmask ``masks[t]``; constraint j must be covered by at least
     ``needs[j]`` chosen copies.  Returns the smallest multiset size, or None
-    if no solution fits within ``budget``.  ``known_upper`` may supply a
-    size that is known to be feasible without listing a witness; it seeds
-    the incumbent, and is returned when nothing smaller exists.  With
-    ``_first`` set, the search stops at the first cover within ``budget``
-    and returns its size, which need not be the minimum.
+    if no solution fits within ``budget``.  With ``feasible`` set, the
+    search only asks whether some cover fits within ``budget``: it returns
+    the size of the first one it meets, which need not be the minimum.
 
-    The search branches on the constraint covered by the fewest types and
-    partitions solutions by the lowest-index type covering it, excluding
-    earlier coverers in later branches so no multiset is visited twice.
+    The search decides, class by class and on an explicit stack, how many
+    copies of each class to take, so its depth is at most the number of
+    classes whatever the weights.  The incumbent starts at
+    ``_greedy_cover``, returned at once when it meets the largest open need
+    (a lower bound) or, with ``feasible``, when it fits the budget.  Each
+    node is pruned by its largest open need, by each constraint's reach
+    (the copies left that cover it), by ``⌈open needs / widest class⌉``,
+    and only then, in searches without a budget and in feasibility
+    searches, by the Lagrangian bound of the covering LP (``_cover_relax``).
+    A cutoff search (exact, with a budget) keeps to the cheap bounds: the
+    cutoffs ``verify_reduction`` asks for certify "above k" on vertex-cover
+    encodings, whose covering LP is as weak as vertex cover's, and there
+    the LP cost more than it pruned (about 1.7 times the time on seeded
+    reduction elections).
     """
     k = len(needs)
     needs = [max(0, nd) for nd in needs]
-    if all(nd == 0 for nd in needs):
-        return 0
-    total = sum(weights)
-    best = known_upper
+    top = max(needs, default=0)
+    cap = sum(weights) if budget is None else budget
+    if top == 0 or top > cap:
+        return 0 if top == 0 else None
+    classes = len(weights)
+    cols = [[j for j in range(k) if mask >> j & 1] for mask in masks]
+    # reach[t][j]: copies in classes t, t + 1, ... covering constraint j.
+    reach = [[0] * k for _ in range(classes + 1)]
+    for t in range(classes - 1, -1, -1):
+        reach[t] = list(reach[t + 1])
+        for j in cols[t]:
+            reach[t][j] += weights[t]
+    use_relax = budget is None or feasible
 
-    def dfs(chosen: int, avail: list[int], needs: list[int]) -> None:
-        nonlocal best
-        unmet = [j for j in range(k) if needs[j] > 0]
-        if not unmet:
-            if best is None or chosen < best:
-                best = chosen
-            return
-        lim = budget if budget is not None else total
-        if best is not None:
-            lim = min(lim, best - 1)
-        allowance = lim - chosen
-        maxneed = max(needs[j] for j in unmet)
-        if maxneed > allowance:
-            return
-        # A constraint consuming the whole allowance forces every further
-        # pick to cover it, so the pool shrinks to its coverers.
-        tight = [j for j in unmet if needs[j] == allowance]
-        if tight:
-            avail = [
-                w if all(masks[i] >> j & 1 for j in tight) else 0
-                for i, w in enumerate(avail)
-            ]
-        unmet_mask = 0
-        for j in unmet:
-            unmet_mask |= 1 << j
-        pool = [i for i, w in enumerate(avail) if w > 0 and masks[i] & unmet_mask]
-        for j in unmet:
-            if sum(avail[i] for i in pool if masks[i] >> j & 1) < needs[j]:
-                return
-        best_cover = max((masks[i] & unmet_mask).bit_count() for i in pool)
-        totalneed = sum(needs[j] for j in unmet)
-        if chosen + -(-totalneed // best_cover) > lim:
-            return
-        if all(masks[i] & unmet_mask == unmet_mask for i in pool):
-            # Every usable copy covers every open constraint.
-            if best is None or chosen + maxneed < best:
-                best = chosen + maxneed
-            return
-        branch = min(
-            unmet,
-            key=lambda j: (sum(1 for i in pool if masks[i] >> j & 1), -needs[j], j),
-        )
-        coverers = [i for i in pool if masks[i] >> branch & 1]
-        for pos, i in enumerate(coverers):
-            navail = list(avail)
-            for skip in coverers[:pos]:
-                navail[skip] = 0
-            navail[i] -= 1
-            nneeds = [needs[j] - (masks[i] >> j & 1) for j in range(k)]
-            dfs(chosen + 1, navail, nneeds)
-            if _first and best is not None:
-                return
+    def lower(t: int, needs: list[int]) -> int | None:
+        """Largest open need and ``⌈open needs / widest class⌉`` from class
+        t on; None when some constraint is out of reach."""
+        open_mask = total = top = 0
+        for j, nd in enumerate(needs):
+            if nd > 0:
+                if reach[t][j] < nd:
+                    return None
+                open_mask |= 1 << j
+                total += nd
+                top = max(top, nd)
+        widest = max((masks[s] & open_mask).bit_count() for s in range(t, classes))
+        return max(top, -(-total // widest))
 
-    dfs(0, list(weights), needs)
-    if best is not None and (budget is None or best <= budget):
+    root = lower(0, needs)
+    if root is None or root > cap:
+        return None
+    best = _greedy_cover(weights, masks, needs)
+    if best <= (cap if feasible else root):
         return best
-    return None
+
+    stack: list[tuple] = []
+    node = (0, 0, needs, [1.0] * k)
+    while True:
+        if node is not None:
+            t, cost, needs, lam = node
+            node = None
+            open_mask = sum(1 << j for j, nd in enumerate(needs) if nd > 0)
+            if not open_mask:
+                best = min(best, cost)
+                if feasible and best <= cap:
+                    return best
+            else:
+                # A class covering no open constraint takes no copy.
+                while t < classes and not masks[t] & open_mask:
+                    t += 1
+                limit = min(cap, best - 1) - cost
+                bound = lower(t, needs)
+                if bound is not None and bound <= limit:
+                    relaxed = (
+                        _cover_relax(weights, cols, t, needs, lam, limit, root=not stack)
+                        if use_relax
+                        else (lam, True)
+                    )
+                    if relaxed is not None:
+                        lam, take_all = relaxed
+                        # Copies the later classes cannot supply come from
+                        # class t; copies beyond its largest open need are
+                        # wasted, and the rest of the budget must still meet
+                        # every open need class t leaves alone.
+                        lo = max(0, *(needs[j] - reach[t + 1][j] for j in cols[t]))
+                        rest = max(
+                            (nd for j, nd in enumerate(needs) if not masks[t] >> j & 1),
+                            default=0,
+                        )
+                        hi = min(weights[t], max(needs[j] for j in cols[t]), limit - rest)
+                        if lo <= hi:
+                            hs = range(hi, lo - 1, -1) if take_all else range(lo, hi + 1)
+                            stack.append((t, cost, needs, lam, iter(hs)))
+        if not stack:
+            break
+        t, cost, needs, lam, hs = stack[-1]
+        h = next(hs, None)
+        if h is None:
+            stack.pop()
+            continue
+        if h:
+            needs = list(needs)
+            for j in cols[t]:
+                needs[j] -= h
+        node = (t + 1, cost + h, needs, lam)
+    return best if best <= cap else None
+
+
+def _cover_relax(
+    weights: list[int],
+    cols: list[list[int]],
+    t: int,
+    needs: list[int],
+    lam: list[float],
+    limit: int,
+    *,
+    root: bool,
+) -> tuple[list[float], bool] | None:
+    """Prune by the covering LP's Lagrangian bound; else return the last
+    multipliers and whether the relaxation takes every copy of class t.
+
+    For multipliers ``λ >= 0`` the bound over classes t, t + 1, ... is
+    ``Σ_j λ_j·need_j + Σ_s w_s·min(0, 1 - Σ_{j∈s} λ_j)``: a class takes
+    all its copies exactly when they cost less than the needs they meet.
+    It is evaluated in integers on ``λ`` rounded to numerators over
+    ``_DENOM``, so rounding never over-prunes.  Subgradient steps choose
+    ``λ`` in floats; the step length follows Polyak's rule toward
+    ``limit + 1`` and halves after three steps without a better bound.  The
+    root, which starts from ``λ = 1``, takes more steps and deflects each
+    one (Camerini, Fratta & Maffioli, 1975).
+    """
+    k = len(needs)
+    # A constraint without needs keeps λ = 0: it holds anyway, so only the
+    # open constraints of each class count.
+    lam = [x if nd > 0 else 0.0 for x, nd in zip(lam, needs)]
+    items = []
+    for s in range(t, len(weights)):
+        cover = [j for j in cols[s] if needs[j] > 0]
+        if cover:
+            items.append((weights[s], cover))
+    theta = 2.0
+    top = stall = 0
+    direction = [0.0] * k
+    for step in range(_ROOT_STEPS if root else _NODE_STEPS):
+        p = [round(x * _DENOM) for x in lam]
+        price = p.__getitem__
+        value = sum(pj * nd for pj, nd in zip(p, needs))
+        covered = [0] * k
+        for w, cover in items:
+            rc = _DENOM - sum(map(price, cover))
+            if rc < 0:
+                value += w * rc
+                for j in cover:
+                    covered[j] += w
+        # Class t covers an open constraint, so it heads the items.
+        take_all = _DENOM - sum(map(price, items[0][1])) < 0
+        bound = -(-value // _DENOM)
+        if bound > limit:
+            return None
+        if step == 0 or bound > top:
+            top, stall = bound, 0
+        else:
+            stall += 1
+            if stall == 3:
+                theta, stall = theta / 2, 0
+        sub = [needs[j] - covered[j] if needs[j] > 0 else 0 for j in range(k)]
+        if root:
+            dot = sum(a * b for a, b in zip(sub, direction))
+            if dot < 0:
+                beta = -1.5 * dot / sum(b * b for b in direction)
+                sub = [a + beta * b for a, b in zip(sub, direction)]
+            direction = sub
+        norm = sum(s * s for s in sub)
+        if not norm:
+            break
+        alpha = theta * (limit + 1 - value / _DENOM) / norm
+        lam = [max(0.0, x + alpha * s) for x, s in zip(lam, sub)]
+    return lam, take_all
 
 
 def replacement_score(e: Election, cand: CandidateRef, *, cutoff: int | None = None) -> Value:
@@ -231,8 +395,8 @@ def replacement_score(e: Election, cand: CandidateRef, *, cutoff: int | None = N
     beats opponent x exactly when the rewritten set hits at least
     ``replacement_deficits`` many of the voters preferring x.  That turns
     the score into a minimum multiset cover over cover-mask classes.
-    Rewriting any floor(n/2) + 1 ballots always works, which bounds the
-    search.
+    Rewriting any floor(n/2) + 1 ballots always works, so the score never
+    exceeds that.
 
     With ``cutoff`` set, returns None instead of any value above it; the
     search then stops exploring past the cutoff, which is what makes
@@ -248,8 +412,7 @@ def replacement_score(e: Election, cand: CandidateRef, *, cutoff: int | None = N
         return 0
     needs = [deficits[x] for x in opponents]
     weights, masks = _cover_types(e, idx, opponents)
-    guaranteed = e.n // 2 + 1
-    return _min_cover(weights, masks, needs, budget=cutoff, known_upper=guaranteed)
+    return _min_cover(weights, masks, needs, budget=cutoff)
 
 
 def deletion_score(e: Election, cand: CandidateRef) -> Value:
@@ -274,19 +437,9 @@ def deletion_score(e: Election, cand: CandidateRef) -> Value:
         needs = [a - (kept - 1) // 2 for a in against]
         if max(needs, default=0) > removed:
             continue
-        if _min_cover(weights, masks, needs, budget=removed, _first=True) is not None:
+        if _min_cover(weights, masks, needs, budget=removed, feasible=True) is not None:
             return removed
     return INFINITY
-
-
-# Each multiplier λ_c of the Dodgson bound is chosen in floats, then applied
-# as the integer numerator p_c of p_c / _DENOM, so every bound the search
-# prunes with is evaluated exactly.
-_DENOM = 1 << 16
-# Subgradient steps at the root (deflected, see _lift_search) and at every
-# other node (warm-started from its parent).
-_ROOT_STEPS = 40
-_NODE_STEPS = 8
 
 
 def _lift_classes(

@@ -15,7 +15,6 @@ import pytest
 import votedist
 from votedist import ScoreKind, separating_example, serialize_profile
 from votedist.cli import main
-from votedist.scores import SCORE_FUNCTIONS
 
 EXAMPLE = serialize_profile(separating_example())
 SMALL = "3\na b c\n2: a > b > c\n1: b > c > a\n"
@@ -103,23 +102,20 @@ class TestScore:
             assert main(argv) == 1
             assert capsys.readouterr() == ("", message)
 
-    def test_recursion_limit_is_inconclusive(self, profile, capsys, monkeypatch):
-        """A search too deep for Python's stack ends with exit 2, not a traceback.
-
-        ``_min_cover`` still recurses once per chosen copy, so a score search
-        can overflow; a stand-in search that raises shows the CLI's answer.
-        """
-
-        def overflow(e, cand):
-            raise RecursionError("maximum recursion depth exceeded")
-
-        monkeypatch.setitem(SCORE_FUNCTIONS, ScoreKind.REPLACEMENT, overflow)
-        path = profile(SMALL)
-        for argv in (["score", "replacement", path], ["score", "replacement", path, "a"]):
-            assert main(argv) == 2
-            assert capsys.readouterr() == (
-                "inconclusive\n", "error: search exceeded Python's recursion limit\n"
-            )
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            pytest.param(["score", "replacement"], "a\t1501\nb\t0\nc\t1501\n", id="replacement"),
+            pytest.param(["score", "deletion"], "a\tinf\nb\t0\nc\t3001\n", id="deletion"),
+            pytest.param(["winners", "young"], "b\n", id="young"),
+        ],
+    )
+    def test_covers_of_thousands_of_copies(self, profile, capsys, argv, out):
+        # Each cover takes over a thousand copies of one class; the search
+        # holds one level per class, not per chosen copy.
+        path = profile("3\na b c\n9000: b > a > c\n9000: c > a > b\n3000: b > c > a\n")
+        assert main([*argv, path]) == 0
+        assert capsys.readouterr() == (out, "")
 
     def test_dodgson_of_heavy_cyclic_profile(self, profile, capsys):
         # Each score lifts over a thousand ballots, one search level per

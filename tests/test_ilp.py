@@ -18,6 +18,7 @@ pytest.importorskip("scipy")
 
 import numpy as np  # noqa: E402  (scipy brings numpy)
 from scipy.optimize import Bounds, LinearConstraint, milp  # noqa: E402
+from scipy.sparse import coo_array  # noqa: E402
 
 from votedist import scores  # noqa: E402
 from votedist import (  # noqa: E402
@@ -32,7 +33,7 @@ from votedist import (  # noqa: E402
     restrict,
 )
 
-NAMES = "abcdefg"
+NAMES = "abcdefgh"
 DODGSON_POOL = pathlib.Path(__file__).with_name("dodgson_pool.profile")
 DODGSON_74 = pathlib.Path(__file__).with_name("dodgson_74.profile")
 GRAPHS = {
@@ -42,13 +43,19 @@ GRAPHS = {
 }
 
 
-def _solve(cost, rows, lower, upper, var_upper):
+def _solve(cost, entries, lower, upper, var_upper):
     """Minimise ``cost @ z`` over integer ``0 <= z <= var_upper`` with
-    ``lower <= rows @ z <= upper``; None when infeasible."""
+    ``lower <= A @ z <= upper``; None when infeasible.
+
+    ``A`` is sparse, given by its ``(row, column, value)`` entries, so
+    programs with thousands of ballot types fit in memory.
+    """
     cost = np.asarray(cost, dtype=float)
     constraints = []
-    if rows:
-        constraints.append(LinearConstraint(np.array(rows, dtype=float), lower, upper))
+    if lower:
+        rows, cols, values = zip(*entries) if entries else ((), (), ())
+        a = coo_array((values, (rows, cols)), shape=(len(lower), len(cost)), dtype=float)
+        constraints.append(LinearConstraint(a.tocsr(), lower, upper))
     res = milp(
         cost,
         constraints=constraints,
@@ -69,35 +76,38 @@ def _above(ranking: tuple[int, ...], cand: int) -> tuple[int, ...]:
 def ilp_replacement(e: Election, cand: int) -> int:
     """x_t ballots of type t are rewritten to rank ``cand`` first."""
     types = e.ballot_types
-    rows, lower = [], []
+    entries, lower = [], []
     for x in range(e.m):
         against, backing = e.tally.counts[x][cand], e.tally.counts[cand][x]
         if x == cand or backing > against:
             continue
         # Each rewrite of a ballot preferring x moves one vote across.
-        rows.append([int(x in _above(r, cand)) for r, _ in types])
+        row = len(lower)
+        entries += [(row, t, 1) for t, (r, _) in enumerate(types) if x in _above(r, cand)]
         lower.append((against - backing) // 2 + 1)
     return _solve(
-        [1] * len(types), rows, lower, [np.inf] * len(rows), [w for _, w in types]
+        [1] * len(types), entries, lower, [np.inf] * len(lower), [w for _, w in types]
     )
 
 
 def ilp_deletion(e: Election, cand: int):
     """x_t ballots of type t are deleted, K = sum(x) in all."""
     types, n = e.ballot_types, e.n
-    rows, lower, upper = [], [], []
+    entries, lower, upper = [], [], []
     for x in range(e.m):
         if x == cand:
             continue
         # 2 * hit_x - K >= 2 * against_x - n + 1: strict majority among the
         # n - K voters kept.
-        rows.append([2 * int(x in _above(r, cand)) - 1 for r, _ in types])
+        row = len(lower)
+        entries += [(row, t, 2 * int(x in _above(r, cand)) - 1) for t, (r, _) in enumerate(types)]
         lower.append(2 * e.tally.counts[x][cand] - n + 1)
         upper.append(np.inf)
-    rows.append([1] * len(types))  # K <= n - 1
+    row = len(lower)
+    entries += [(row, t, 1) for t in range(len(types))]  # K <= n - 1
     lower.append(0)
     upper.append(n - 1)
-    value = _solve([1] * len(types), rows, lower, upper, [w for _, w in types])
+    value = _solve([1] * len(types), entries, lower, upper, [w for _, w in types])
     return INFINITY if value is None else value
 
 
@@ -105,25 +115,26 @@ def ilp_dodgson(e: Election, cand: int) -> int:
     """y_{t,j} ballots of type t lift ``cand`` by exactly j places."""
     types = e.ballot_types
     threshold = e.n // 2 + 1
-    columns = []  # (type, lift)
-    for t, (ranking, _) in enumerate(types):
-        columns += [(t, j) for j in range(1, ranking.index(cand) + 1)]
+    above = [_above(ranking, cand) for ranking, _ in types]
+    columns = [(t, j) for t, chain in enumerate(above) for j in range(1, len(chain) + 1)]
     if not columns:
         return 0
-    rows, lower = [], []
+    entries, lower, upper = [], [], []
     for x in range(e.m):
         gain = threshold - e.tally.counts[cand][x]
         if x == cand or gain <= 0:
             continue
         # A lift by j passes the j candidates right above cand.
-        rows.append([int(x in _above(types[t][0], cand)[:j]) for t, j in columns])
+        row = len(lower)
+        entries += [(row, col, 1) for col, (t, j) in enumerate(columns) if x in above[t][:j]]
         lower.append(gain)
-    upper = [np.inf] * len(rows)
-    for t, (_, weight) in enumerate(types):
-        rows.append([int(s == t) for s, _ in columns])
-        lower.append(0)
-        upper.append(weight)
-    return _solve([j for _, j in columns], rows, lower, upper, [np.inf] * len(columns))
+        upper.append(np.inf)
+    # At most weight_t ballots of type t lift at all.
+    first = len(lower)
+    entries += [(first + t, col, 1) for col, (t, _) in enumerate(columns)]
+    lower += [0] * len(types)
+    upper += [w for _, w in types]
+    return _solve([j for _, j in columns], entries, lower, upper, [np.inf] * len(columns))
 
 
 def pooled_election(rng: random.Random, m: int, n: int) -> Election:
@@ -159,6 +170,42 @@ def test_reduction_elections_match_ilp(graph, budget):
     for c in range(e.m):
         assert replacement_score(e, c) == ilp_replacement(e, c), (graph, budget, c)
         assert deletion_score(e, c) == ilp_deletion(e, c), (graph, budget, c)
+        assert dodgson_score(e, c) == ilp_dodgson(e, c), (graph, budget, c)
+
+
+def test_search_shaped_elections_match_ilp():
+    # Impartial culture with m = 8 and n = 400: nearly every ballot type is
+    # distinct, and the cover classes number up to 2^7 - 1.
+    rng = random.Random(45)
+    for _ in range(3):
+        e = impartial_election(rng, 8, 400)
+        for c in range(e.m):
+            assert replacement_score(e, c) == ilp_replacement(e, c), (e.ballot_types, c)
+            assert deletion_score(e, c) == ilp_deletion(e, c), (e.ballot_types, c)
+            assert dodgson_score(e, c) == ilp_dodgson(e, c), (e.ballot_types, c)
+
+
+def test_cover_search_alone_matches_ilp(monkeypatch):
+    # The greedy cover and the root's Lagrangian bound settle most searches
+    # before any branching; without them the class-count branch and bound
+    # must find every optimum at its own leaves, so a pruning or branching
+    # fault shows.
+    relax = scores._cover_relax
+
+    def open_root(weights, cols, t, needs, lam, limit, *, root):
+        if root:
+            return lam, True
+        return relax(weights, cols, t, needs, lam, limit, root=root)
+
+    monkeypatch.setattr(scores, "_greedy_cover", lambda weights, masks, needs: sum(weights) + 1)
+    monkeypatch.setattr(scores, "_cover_relax", open_root)
+    rng = random.Random(46)
+    for draw in (impartial_election, pooled_election):
+        for _ in range(40):
+            e = draw(rng, rng.randint(2, 7), rng.randint(1, 200))
+            for c in range(e.m):
+                assert replacement_score(e, c) == ilp_replacement(e, c), (e.ballot_types, c)
+                assert deletion_score(e, c) == ilp_deletion(e, c), (e.ballot_types, c)
 
 
 def test_dodgson_matches_ilp():

@@ -105,6 +105,12 @@ class TestVcExact:
         star = VcInstance(5, tuple((0, v) for v in range(1, 5)), 0)
         assert vc_exact(star) == 1
 
+    def test_deep_search_holds_no_frame_per_step(self):
+        # Each of the 1,500 disjoint edges takes one branching step, more
+        # than Python's default recursion limit.
+        matching = VcInstance(3000, tuple((2 * i, 2 * i + 1) for i in range(1500)), 1500)
+        assert vc_exact(matching) == 1500
+
 
 class TestRestrict:
     def test_triangle_normal_form(self):

@@ -19,18 +19,28 @@ from votedist import (
     PreferenceOrder,
     ScoreKind,
     ScoreTable,
+    build_election,
     deletion_score,
     dodgson_score,
     insertion_score,
     maximin_score,
     pairwise_tally,
+    parse_dimacs,
     parse_profile,
     replacement_deficits,
     replacement_score,
+    restrict,
     score_table,
     separating_example,
 )
-from votedist.scores import SCORE_FUNCTIONS, _cover_types, _greedy_lifts, _lift_classes
+from votedist.scores import (
+    SCORE_FUNCTIONS,
+    _cover_types,
+    _greedy_cover,
+    _greedy_lifts,
+    _lift_classes,
+    _min_cover,
+)
 
 TESTS = pathlib.Path(__file__).parent
 
@@ -149,6 +159,35 @@ class TestCoverTypes:
         assert sum(weights) == behind
         popcounts = [mask.bit_count() for mask in masks]
         assert popcounts == sorted(popcounts, reverse=True)
+
+
+class TestMinCover:
+    def test_search_holds_no_frame_per_copy(self):
+        # Each cover takes over a thousand copies of one class, and the
+        # search may hold no frame per chosen copy.
+        e = parse_profile("3\na b c\n9000: b > a > c\n9000: c > a > b\n3000: b > c > a\n")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 50)
+        try:
+            values = [(replacement_score(e, c), deletion_score(e, c)) for c in range(e.m)]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert values == [(1501, INFINITY), (0, 0), (1501, 3001)]
+
+    def test_feasibility_looks_past_a_greedy_above_the_budget(self):
+        # Candidate y10 of the C5 reduction election (budget 2): 28 removals
+        # admit a cover of 28, while the greedy cover for that budget takes
+        # 29, so the search must not stop at its incumbent.
+        c5 = "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n"
+        e = build_election(restrict(parse_dimacs(c5, 2))).election
+        cand = e.candidate_index("y10")
+        opponents = [x for x in range(e.m) if x != cand]
+        weights, masks = _cover_types(e, cand, opponents)
+        kept = e.n - 28
+        needs = [e.tally.counts[x][cand] - (kept - 1) // 2 for x in opponents]
+        assert _greedy_cover(weights, masks, needs) == 29
+        assert _min_cover(weights, masks, needs, budget=28, feasible=True) == 28
+        assert deletion_score(e, cand) == 28
 
 
 class TestDeletionScore:
@@ -302,6 +341,19 @@ class TestProperties:
         for c in range(e.m):
             needs, chains, weights = _lift_classes(e, c)
             assert sum(needs) <= dodgson_score(e, c) <= _greedy_lifts(needs, chains, weights)
+
+    @settings(max_examples=150)
+    @given(elections(max_m=6, max_n=30))
+    def test_replacement_between_largest_need_and_greedy(self, e):
+        # Each rewrite meets each need at most once; the greedy cover is
+        # feasible.
+        for c in range(e.m):
+            deficits = replacement_deficits(e.tally, c)
+            opponents = [x for x in range(e.m) if deficits[x] > 0]
+            needs = [deficits[x] for x in opponents]
+            weights, masks = _cover_types(e, c, opponents)
+            greedy = _greedy_cover(weights, masks, needs)
+            assert max(needs, default=0) <= replacement_score(e, c) <= greedy
 
     @settings(max_examples=100)
     @given(st.data())

@@ -25,6 +25,14 @@ def _check_candidate_name(name: str) -> None:
         raise ValueError(f"candidate name {name!r} clashes with the profile syntax")
 
 
+def _check_voter_names(voters: tuple[str, ...]) -> None:
+    if len(set(voters)) != len(voters):
+        raise ValueError("voter names must be unique")
+    for voter in voters:
+        if not isinstance(voter, str) or not voter:
+            raise ValueError("voter names must be non-empty strings")
+
+
 @dataclass(frozen=True, order=True)
 class Candidate:
     """A candidate: a stable index into the roster plus a display name."""
@@ -78,15 +86,31 @@ class PreferenceOrder:
         return self.ranking[0]
 
 
+def _positional_names(n: int) -> tuple[str, ...]:
+    """The default voter names ``v1..vn``."""
+    return tuple([f"v{i}" for i in range(1, n + 1)])
+
+
 @dataclass(frozen=True)
 class Election:
-    """A roster, a tuple of distinct voter names, and one ballot per voter."""
+    """A roster, a tuple of distinct voter names, and one ballot per voter.
+
+    Validation happens where data enters.  The public constructor checks
+    everything it is given: roster order, unique candidate names, one ballot
+    per voter, unique non-empty voter names, and ballots that cover the
+    roster.  Elections the library builds itself (``parse_profile``,
+    ``delete_voters``, ``add_voters``) go through ``_trusted`` instead, after
+    checking only what their own caller supplied; the per-voter passes would
+    re-prove facts that hold by construction.
+    """
 
     candidates: tuple[Candidate, ...]
     voters: tuple[str, ...]
     profile: tuple[PreferenceOrder, ...]
 
     def __post_init__(self) -> None:
+        if vars(self).pop("_derived", False):  # set by _trusted
+            return
         object.__setattr__(self, "candidates", tuple(self.candidates))
         object.__setattr__(self, "voters", tuple(self.voters))
         object.__setattr__(self, "profile", tuple(self.profile))
@@ -98,11 +122,7 @@ class Election:
             raise ValueError("candidate names must be unique")
         if len(self.voters) != len(self.profile):
             raise ValueError("need exactly one ballot per voter")
-        if len(set(self.voters)) != len(self.voters):
-            raise ValueError("voter names must be unique")
-        for voter in self.voters:
-            if not isinstance(voter, str) or not voter:
-                raise ValueError("voter names must be non-empty strings")
+        _check_voter_names(self.voters)
         m = len(self.candidates)
         for ballot in self.profile:
             if len(ballot.ranking) != m:
@@ -125,8 +145,32 @@ class Election:
             PreferenceOrder(tuple(index[name] for name in ballot)) for ballot in ballots
         )
         if voters is None:
-            voters = tuple(f"v{i + 1}" for i in range(len(profile)))
+            voters = _positional_names(len(profile))
         return cls(candidates, tuple(voters), profile)
+
+    @classmethod
+    def _trusted(
+        cls,
+        candidates: tuple[Candidate, ...],
+        voters: tuple[str, ...],
+        profile: tuple[PreferenceOrder, ...],
+        ballot_types: tuple[tuple[tuple[int, ...], int], ...] | None = None,
+    ) -> "Election":
+        """Build an election whose invariants the caller has established.
+
+        The arguments must be tuples that the public constructor would
+        accept; none of its checks run.  ``ballot_types``, when given, must
+        equal what the property would compute and seeds its cache.  The
+        object still goes through ``__init__``, so anything wrapping it sees
+        every election built.
+        """
+        e = cls.__new__(cls)
+        state = vars(e)
+        state["_derived"] = True
+        if ballot_types is not None:
+            state["ballot_types"] = ballot_types
+        e.__init__(candidates, voters, profile)
+        return e
 
     @property
     def m(self) -> int:
@@ -146,7 +190,10 @@ class Election:
 
     @cached_property
     def ballot_types(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Distinct rankings with multiplicities, in sorted order."""
+        """Distinct rankings with multiplicities, in sorted order.
+
+        ``parse_profile`` seeds this from its counted lines.
+        """
         return tuple(sorted(Counter(ballot.ranking for ballot in self.profile).items()))
 
     @cached_property
@@ -182,7 +229,7 @@ class Election:
         if unknown:
             raise KeyError(f"cannot delete unknown voters {sorted(unknown)}")
         kept = [(v, b) for v, b in zip(self.voters, self.profile) if v not in drop]
-        return Election(
+        return Election._trusted(
             self.candidates,
             tuple(v for v, _ in kept),
             tuple(b for _, b in kept),
@@ -198,6 +245,9 @@ class Election:
             b if isinstance(b, PreferenceOrder) else PreferenceOrder(tuple(b))
             for b in ballots
         ]
+        for ballot in new_ballots:
+            if len(ballot.ranking) != self.m:
+                raise ValueError("ballot does not cover the candidate roster")
         if names is None:
             taken = set(self.voters)
             names = []
@@ -206,7 +256,15 @@ class Election:
                 candidate_name = f"v{next(counter)}"
                 if candidate_name not in taken:
                     names.append(candidate_name)
-        return Election(
+        else:
+            names = tuple(names)
+            if len(names) != len(new_ballots):
+                raise ValueError("need exactly one ballot per voter")
+            _check_voter_names(names)
+            clash = set(names).intersection(self.voters)
+            if clash:
+                raise ValueError(f"voter names already taken: {sorted(clash)}")
+        return Election._trusted(
             self.candidates,
             self.voters + tuple(names),
             self.profile + tuple(new_ballots),
@@ -233,6 +291,14 @@ class PairwiseTally:
                 if self.counts[a][b] < 0:
                     raise ValueError("tally cells must be non-negative")
 
+    @classmethod
+    def _trusted(cls, counts: tuple[tuple[int, ...], ...], n: int) -> "PairwiseTally":
+        """A tally counted from ballots, whose invariants hold by construction."""
+        t = cls.__new__(cls)
+        object.__setattr__(t, "counts", counts)
+        object.__setattr__(t, "n", n)
+        return t
+
     @property
     def m(self) -> int:
         return len(self.counts)
@@ -242,19 +308,27 @@ class PairwiseTally:
 
 
 def pairwise_tally(e: Election) -> PairwiseTally:
-    """Count, for every ordered candidate pair, the voters preferring the first."""
+    """Count, for every ordered candidate pair, the voters preferring the first.
+
+    Identical ballots contribute identically, so the count runs per ballot
+    type: over ``e.ballot_types`` when they are already known (a parsed
+    profile has them from its lines), else over a plain recount, which for
+    the tiny elections the oracle builds is cheaper than the property.
+    """
     m = e.m
     counts = [[0] * m for _ in range(m)]
-    # Identical ballots contribute identically, so tally per distinct ballot.
-    weights: dict[tuple[int, ...], int] = {}
-    for ballot in e.profile:
-        weights[ballot.ranking] = weights.get(ballot.ranking, 0) + 1
-    for ranking, w in weights.items():
+    weights = vars(e).get("ballot_types")
+    if weights is None:
+        recount: dict[tuple[int, ...], int] = {}
+        for ballot in e.profile:
+            recount[ballot.ranking] = recount.get(ballot.ranking, 0) + 1
+        weights = recount.items()
+    for ranking, w in weights:
         for i in range(m):
             winner = ranking[i]
             for j in range(i + 1, m):
                 counts[winner][ranking[j]] += w
-    return PairwiseTally(tuple(tuple(row) for row in counts), e.n)
+    return PairwiseTally._trusted(tuple(tuple(row) for row in counts), e.n)
 
 
 def tally_condorcet_winner(tally: PairwiseTally) -> int | None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 from .core import Candidate, Election, PreferenceOrder, condorcet_winner
 from .distances import (
@@ -107,18 +107,6 @@ def _profile_minima(e: Election, metric: ElectionMetric, limit: int) -> list[Val
     return minima
 
 
-def _added_ballot_choices(
-    e: Election, cand: int, count: int, additions: str
-) -> itertools.chain | list:
-    if additions == "top":
-        canonical = PreferenceOrder(
-            (cand,) + tuple(x for x in range(e.m) if x != cand)
-        )
-        return [[canonical] * count]
-    all_orders = [PreferenceOrder(r) for r in _rankings(e.m)]
-    return [list(combo) for combo in itertools.combinations_with_replacement(all_orders, count)]
-
-
 def _edit_minimum(
     e: Election,
     metric: ElectionMetric,
@@ -128,15 +116,31 @@ def _edit_minimum(
     limit: int,
 ) -> Value:
     n = e.n
-    add_choices = 1 if additions == "top" else comb(factorial(e.m) + budget - 1, budget)
-    if 2**n * (budget + 1) * add_choices > limit:
+    # choices(extra) yields every ballot multiset of size ``extra`` the scan
+    # appends; ``space`` is their total over extra = 0..budget.
+    if additions == "top":
+        top = PreferenceOrder((cand,) + tuple(x for x in range(e.m) if x != cand))
+
+        def choices(extra: int):
+            return ([top] * extra,)
+
+        space = budget + 1
+    else:
+        orders = [PreferenceOrder(r) for r in _rankings(e.m)]
+
+        def choices(extra: int):
+            return itertools.combinations_with_replacement(orders, extra)
+
+        # sum over k = 0..budget of comb(len(orders) + k - 1, k)
+        space = comb(len(orders) + budget, budget)
+    if 2**n * space > limit:
         raise InconclusiveSearch("edit space exceeds the enumeration limit")
     best: Value = INFINITY
     for r in range(n + 1):
         for drop in itertools.combinations(e.voters, r):
             trimmed = e.delete_voters(drop)
             for extra in range(budget + 1):
-                for ballots in _added_ballot_choices(e, cand, extra, additions):
+                for ballots in choices(extra):
                     modified = trimmed.add_voters(ballots)
                     winner = condorcet_winner(modified)
                     if winner is None or winner.index != cand:

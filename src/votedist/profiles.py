@@ -17,14 +17,20 @@ positional names.
 
 Each counted line becomes one validated ``PreferenceOrder`` that all of its
 voters share; the order is frozen, so sharing is safe, and a line costs one
-ballot object however large its count.
+ballot object however large its count.  The lines are also counted once into
+the election's ballot types (lines with the same ranking merge), so the
+pairwise tally and plurality run over those types, not over every voter.
+
+All checking happens here, line by line; the election is then built through
+the trusted constructor, since every fact its per-voter passes would check
+already holds by construction.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .core import Candidate, Election, PreferenceOrder
+from .core import Candidate, Election, PreferenceOrder, _positional_names
 
 
 class ProfileParseError(ValueError):
@@ -56,9 +62,15 @@ def parse_profile(text: str) -> Election:
         raise ProfileParseError(f"line {lineno}: expected {m} candidate names, got {len(names)}")
     if len(set(names)) != m:
         raise ProfileParseError(f"line {lineno}: duplicate candidate name")
+    try:
+        candidates = tuple(Candidate(i, name) for i, name in enumerate(names))
+    except ValueError as exc:
+        raise ProfileParseError(str(exc)) from None
     index = {name: i for i, name in enumerate(names)}
+    roster = sorted(names)
 
     ballots: list[PreferenceOrder] = []
+    types: dict[tuple[int, ...], int] = {}
     for lineno, line in lines[2:]:
         head, sep, tail = line.partition(":")
         if not sep:
@@ -67,19 +79,20 @@ def parse_profile(text: str) -> Election:
         if count < 1:
             raise ProfileParseError(f"line {lineno}: ballot count must be positive")
         entries = [token.strip() for token in tail.split(">")]
-        if sorted(entries) != sorted(names):
+        if sorted(entries) != roster:
             raise ProfileParseError(
                 f"line {lineno}: ballot must rank every candidate exactly once"
             )
         ranking = tuple(index[token] for token in entries)
         ballots.extend([PreferenceOrder(ranking)] * count)
+        types[ranking] = types.get(ranking, 0) + count
 
-    voters = tuple(f"v{i + 1}" for i in range(len(ballots)))
-    try:
-        candidates = tuple(Candidate(i, name) for i, name in enumerate(names))
-        return Election(candidates, voters, tuple(ballots))
-    except ValueError as exc:
-        raise ProfileParseError(str(exc)) from None
+    return Election._trusted(
+        candidates,
+        _positional_names(len(ballots)),
+        tuple(ballots),
+        tuple(sorted(types.items())),
+    )
 
 
 def serialize_profile(e: Election, comments: tuple[str, ...] = ()) -> str:

@@ -34,8 +34,8 @@ def plurality_winners(e: Election) -> WinnerSet:
     an extension of convenience, not part of the classical rule.
     """
     counts = [0] * e.m
-    for ballot in e.profile:
-        counts[ballot.top()] += 1
+    for ranking, weight in e.ballot_types:
+        counts[ranking[0]] += weight
     high = max(counts)
     winners = tuple(e.candidates[i] for i in range(e.m) if counts[i] == high)
     return WinnerSet("plurality", winners)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
-from conftest import all_elections, random_election
+from conftest import all_elections, random_election, random_ranking
 from votedist import (
     Candidate,
     Election,
@@ -78,6 +78,12 @@ class TestElection:
         with pytest.raises(ValueError):
             Election.from_names(["a", "b"], [["a", "b"]] * 2, ["v", "v"])
 
+    @pytest.mark.parametrize("bad", ["", 7, None])
+    def test_rejects_unusable_voter_names(self, bad):
+        e = Election.from_names(["a", "b"], [])
+        with pytest.raises(ValueError, match="non-empty strings"):
+            Election(e.candidates, ("v1", bad), (PreferenceOrder((0, 1)),) * 2)
+
     def test_rejects_misindexed_candidates(self):
         cands = (Candidate(1, "a"), Candidate(0, "b"))
         with pytest.raises(ValueError):
@@ -128,6 +134,36 @@ class TestElection:
         assert grown.voters == ("judge",)
         with pytest.raises(ValueError):
             grown.add_voters([PreferenceOrder((0, 1))], ["judge"])
+
+    @pytest.mark.parametrize(
+        "ballots, names, message",
+        [
+            ([PreferenceOrder((0, 1, 2))], None, "cover the candidate roster"),
+            ([(1, 0), (0,)], None, "cover the candidate roster"),
+            ([(0, 1)], ["v1"], "already taken"),
+            ([(0, 1)] * 2, ["w", "w"], "unique"),
+            ([(0, 1)], [""], "non-empty strings"),
+            ([(0, 1)] * 2, ["w"], "one ballot per voter"),
+        ],
+    )
+    def test_add_voters_checks_what_the_caller_supplies(self, ballots, names, message):
+        e = Election.from_names(["a", "b"], [["a", "b"], ["b", "a"]])
+        with pytest.raises(ValueError, match=message):
+            e.add_voters(ballots, names)
+
+    def test_derived_elections_equal_publicly_built_ones(self, rng):
+        for _ in range(30):
+            e = random_election(rng, rng.randint(1, 4), rng.randint(0, 6))
+            drop = rng.sample(e.voters, rng.randint(0, e.n))
+            extra = [PreferenceOrder(random_ranking(rng, e.m)) for _ in range(rng.randint(0, 3))]
+            named = [f"w{i}" for i in range(len(extra))]
+            derived_elections = (
+                e.delete_voters(drop), e.add_voters(extra), e.add_voters(extra, named)
+            )
+            for derived in derived_elections:
+                assert derived == Election(derived.candidates, derived.voters, derived.profile)
+                t = pairwise_tally(derived)
+                assert t == PairwiseTally(t.counts, t.n)
 
 
 class TestPairwiseTally:

@@ -2,16 +2,33 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_election
 from votedist import (
     Election,
     ProfileParseError,
+    pairwise_tally,
     parse_profile,
     serialize_profile,
     separating_example,
 )
+
+
+@st.composite
+def profile_texts(draw):
+    """Profile text whose lines draw from a small pool of rankings, so the
+    same ranking often recurs on lines that are not next to each other."""
+    m = draw(st.integers(1, 4))
+    names = "abcd"[:m]
+    pool = draw(st.lists(st.permutations(names), min_size=1, max_size=3))
+    lines = draw(st.lists(st.tuples(st.integers(1, 4), st.sampled_from(pool)), max_size=8))
+    rows = [f"{count}: {' > '.join(ranking)}" for count, ranking in lines]
+    return "\n".join([str(m), " ".join(names), *rows]) + "\n"
 
 
 class TestParseProfile:
@@ -42,6 +59,16 @@ class TestParseProfile:
         assert [b.ranking for b in e.profile] == [(0, 1)] * 3 + [(1, 0)] * 2 + [(0, 1)]
         assert len({id(b) for b in e.profile}) == 3
         assert parse_profile(serialize_profile(e)) == e
+
+    @settings(max_examples=200, deadline=None)
+    @given(profile_texts())
+    def test_parsed_election_matches_public_constructor(self, text):
+        e = parse_profile(text)
+        public = Election(e.candidates, e.voters, e.profile)
+        assert e == public
+        # public has no ballot types yet, so this tally recounts every ballot
+        assert e.tally == pairwise_tally(public)
+        assert e.ballot_types == tuple(sorted(Counter(b.ranking for b in e.profile).items()))
 
     @pytest.mark.parametrize(
         "text",

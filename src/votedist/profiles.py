@@ -13,7 +13,10 @@ whitespace-separated candidate names.  Every further line is a ballot with a
 positive multiplier.  Voter identities are positional: parsing assigns
 ``v1..vn`` in line order, expanding multiplicities, so serializing and
 re-parsing reproduces an election exactly when its voters already carry the
-positional names.
+positional names.  Those names are formatted on demand: the parsed election's
+``voters`` stores only ``n`` until it is iterated and behaves like the tuple
+``("v1", ..., "vn")`` (it compares and hashes equal to it), so a
+million-voter profile that is only tallied builds no million name strings.
 
 Each counted line becomes one validated ``PreferenceOrder`` that all of its
 voters share; the order is frozen, so sharing is safe, and a line costs one
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import Candidate, Election, PreferenceOrder, _positional_names
+from .core import Candidate, Election, PreferenceOrder, _PositionalNames
 
 
 class ProfileParseError(ValueError):
@@ -89,7 +92,7 @@ def parse_profile(text: str) -> Election:
 
     return Election._trusted(
         candidates,
-        _positional_names(len(ballots)),
+        _PositionalNames(len(ballots)),
         tuple(ballots),
         tuple(sorted(types.items())),
     )

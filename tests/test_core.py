@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,9 @@ from votedist import (
     condorcet_winner,
     is_consensus,
     pairwise_tally,
+    parse_profile,
 )
+from votedist.core import _PositionalNames
 
 
 class TestCandidate:
@@ -164,6 +168,79 @@ class TestElection:
                 assert derived == Election(derived.candidates, derived.voters, derived.profile)
                 t = pairwise_tally(derived)
                 assert t == PairwiseTally(t.counts, t.n)
+
+    def test_add_and_delete_on_positional_voters(self):
+        e = parse_profile("2\na b\n2: a > b\n1: b > a\n")
+        grown = e.add_voters([(1, 0)] * 2)
+        assert grown.voters == ("v1", "v2", "v3", "v4", "v5")
+        assert grown == e.delete_voters([]).add_voters([(1, 0)] * 2)
+        assert e.add_voters([(0, 1)], ["w"]).voters == ("v1", "v2", "v3", "w")
+        assert e.delete_voters(["v2"]).voters == ("v1", "v3")
+        with pytest.raises(KeyError, match=r"unknown voters \['v0', 'v4'\]"):
+            e.delete_voters(["v1", "v4", "v0"])
+
+    def test_positional_voters_match_str_subclass_names(self):
+        class Name(str):
+            pass
+
+        e = parse_profile("2\na b\n2: a > b\n1: b > a\n")
+        assert Name("v2") in e.voters
+        assert e.delete_voters([Name("v2")]).voters == ("v1", "v3")
+        with pytest.raises(ValueError, match="already taken"):
+            e.add_voters([(0, 1)], [Name("v1")])
+
+
+class TestPositionalNames:
+    def test_equals_and_hashes_like_its_tuple(self):
+        names = _PositionalNames(4)
+        as_tuple = ("v1", "v2", "v3", "v4")
+        assert names == as_tuple and as_tuple == names
+        assert not (names != as_tuple or as_tuple != names)
+        assert hash(names) == hash(as_tuple)
+        assert names == _PositionalNames(4) != _PositionalNames(3)
+        assert names != as_tuple[:3] and as_tuple[:3] != names
+        assert names != ("v1", "v2", "v3", "w") and ("v1", "v2", "v3", "w") != names
+        assert names != ["v1", "v2", "v3", "v4"]
+        assert _PositionalNames(0) == () and hash(_PositionalNames(0)) == hash(())
+
+    @pytest.mark.parametrize("name", ["v0", "v01", "v", "V1", "v١", "v4", 1, None])
+    def test_membership_rejects_non_canonical_names(self, name):
+        assert name not in _PositionalNames(3)
+
+    def test_membership_accepts_every_canonical_name(self):
+        names = _PositionalNames(120)
+        assert all(f"v{k}" in names for k in range(1, 121))
+        assert "v121" not in names and "v" + "1" * 5000 not in names
+
+    def test_indexing_slices_and_iteration(self):
+        names = _PositionalNames(5)
+        as_tuple = tuple(f"v{k}" for k in range(1, 6))
+        assert len(names) == 5 and tuple(names) == as_tuple
+        assert names[0] == "v1" and names[-1] == "v5" and names[-5] == "v1"
+        for i in (5, -6, 100):
+            with pytest.raises(IndexError):
+                names[i]
+        for s in (slice(1, 3), slice(None, None, -2), slice(-2, None), slice(7, 9)):
+            assert names[s] == as_tuple[s]
+            assert isinstance(names[s], tuple)
+        assert names + ("w",) == as_tuple + ("w",)
+
+    def test_sample_and_pickle(self):
+        names = _PositionalNames(50)
+        drawn = random.Random(3).sample(names, 7)
+        assert drawn == random.Random(3).sample(tuple(names), 7)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(names, protocol))
+            assert isinstance(again, _PositionalNames) and again == names
+
+    def test_parsed_election_equals_public_construction(self):
+        e = parse_profile("3\na b c\n2: a > b > c\n1: c > b > a\n2: a > b > c\n")
+        assert isinstance(e.voters, _PositionalNames)
+        public = Election(e.candidates, e.voters, e.profile)
+        assert isinstance(public.voters, tuple)
+        assert e == public and public == e
+        assert hash(e) == hash(public)
+        assert {e: 1}[public] == 1
 
 
 class TestPairwiseTally:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -66,6 +67,8 @@ class TestParseProfile:
         e = parse_profile(text)
         public = Election(e.candidates, e.voters, e.profile)
         assert e == public
+        assert hash(e) == hash(public)
+        assert tuple(e.voters) == public.voters == tuple(f"v{k}" for k in range(1, e.n + 1))
         # public has no ballot types yet, so this tally recounts every ballot
         assert e.tally == pairwise_tally(public)
         assert e.ballot_types == tuple(sorted(Counter(b.ranking for b in e.profile).items()))
@@ -94,6 +97,18 @@ class TestParseProfile:
     def test_rejects_malformed_input(self, text):
         with pytest.raises(ProfileParseError):
             parse_profile(text)
+
+    def test_million_voter_line_builds_no_per_voter_names(self):
+        # Pointers to the one shared ballot are all a voter may cost here; a
+        # million name strings alone would take over 55 MB.
+        tracemalloc.start()
+        try:
+            e = parse_profile("2\na b\n1000000: a > b\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert e.n == 1_000_000
+        assert peak < 32 * 2**20
 
     def test_error_mentions_line_number(self):
         with pytest.raises(ProfileParseError, match="line 4"):

@@ -21,6 +21,14 @@ Enumeration spaces, with the pruning that keeps each one exact:
   ``additions="all"`` to forgo that pruning and enumerate every added
   ballot multiset (feasible only for tiny elections).
 
+  Whether the target wins a candidate election is decided by arithmetic:
+  each deletion subset's election is tallied once, and the target wins
+  with appended ballots when, against every rival, twice its tally support
+  plus the appended ballots ranking it above that rival exceeds the voter
+  count.  Only winning elections are built; their distances are evaluated
+  by definition, and the election at the minimum is confirmed by
+  ``condorcet_winner``.
+
 When the budget cannot certify that the found minimum is global, the oracle
 raises ``InconclusiveSearch`` rather than guessing.
 """
@@ -31,7 +39,7 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from .core import Candidate, Election, PreferenceOrder, condorcet_winner
+from .core import Candidate, Election, PreferenceOrder, condorcet_winner, pairwise_tally
 from .distances import (
     INFINITY,
     ElectionMetric,
@@ -115,39 +123,48 @@ def _edit_minimum(
     additions: str,
     limit: int,
 ) -> Value:
-    n = e.n
-    # choices(extra) yields every ballot multiset of size ``extra`` the scan
-    # appends; ``space`` is their total over extra = 0..budget.
+    n, m = e.n, e.m
+    # Appended ballots are multisets of up to ``budget`` entries of ``pool``:
+    # the canonical cand-first ballot, or every ranking.
     if additions == "top":
-        top = PreferenceOrder((cand,) + tuple(x for x in range(e.m) if x != cand))
-
-        def choices(extra: int):
-            return ([top] * extra,)
-
-        space = budget + 1
+        pool = [PreferenceOrder((cand,) + tuple(x for x in range(m) if x != cand))]
     else:
-        orders = [PreferenceOrder(r) for r in _rankings(e.m)]
-
-        def choices(extra: int):
-            return itertools.combinations_with_replacement(orders, extra)
-
-        # sum over k = 0..budget of comb(len(orders) + k - 1, k)
-        space = comb(len(orders) + budget, budget)
-    if 2**n * space > limit:
+        pool = [PreferenceOrder(r) for r in _rankings(m)]
+    # sum over k = 0..budget of comb(len(pool) + k - 1, k) multisets per drop set
+    if 2**n * comb(len(pool) + budget, budget) > limit:
         raise InconclusiveSearch("edit space exceeds the enumeration limit")
+    rivals = [x for x in range(m) if x != cand]
+    beaten = [[x for x in rivals if b.prefers(cand, x)] for b in pool]
+    slots = range(len(pool))
     best: Value = INFINITY
+    witness: Election | None = None
     for r in range(n + 1):
         for drop in itertools.combinations(e.voters, r):
             trimmed = e.delete_voters(drop)
+            support = pairwise_tally(trimmed).counts[cand]
             for extra in range(budget + 1):
-                for ballots in choices(extra):
-                    modified = trimmed.add_voters(ballots)
-                    winner = condorcet_winner(modified)
-                    if winner is None or winner.index != cand:
+                size = trimmed.n + extra
+                if size < 1:
+                    continue  # no voter, no strict majority
+                for chosen in itertools.combinations_with_replacement(slots, extra):
+                    # gain[x]: appended ballots ranking cand above x
+                    gain = [0] * m
+                    for i in chosen:
+                        for x in beaten[i]:
+                            gain[x] += 1
+                    if not all(2 * (support[x] + gain[x]) > size for x in rivals):
                         continue
+                    modified = trimmed.add_voters([pool[i] for i in chosen])
                     dist = election_distance(metric, e, modified)
                     if dist < best:
-                        best = dist
+                        best, witness = dist, modified
+    if witness is not None:
+        winner = condorcet_winner(witness)
+        if winner is None or winner.index != cand:
+            raise AssertionError(
+                f"tally arithmetic says {e.candidates[cand].name} wins an election "
+                "that condorcet_winner rejects"
+            )
     return best
 
 

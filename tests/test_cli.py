@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import votedist
-from votedist import ScoreKind, separating_example, serialize_profile
+from votedist import ScoreKind, cli, separating_example, serialize_profile
 from votedist.cli import main
 
 EXAMPLE = serialize_profile(separating_example())
@@ -211,6 +211,40 @@ class TestFixture:
     def test_unknown_fixture_is_input_error(self, capsys):
         assert main(["fixture", "nope"]) == 1
         assert "unknown fixture" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_reused_parser_matches_fresh_parser(self, profile, capsys, monkeypatch):
+        path, graph = profile(SMALL), profile(TRIANGLE, "g.dimacs")
+        sequence = [
+            ["score", "maximin"],  # usage error
+            ["score", "maximin", path, "a"],
+            ["score", "maximin", path],  # the candidate must not carry over
+            ["rationalize", "insertion", path],
+            ["reduce", graph, "2"],
+            ["fixture", "nope"],
+        ]
+
+        def run(fresh: bool) -> list[tuple[int, str, str]]:
+            results = []
+            for argv in sequence:
+                if fresh:
+                    monkeypatch.setattr(cli, "_parser", None)
+                code = main(argv)
+                results.append((code, *capsys.readouterr()))
+            return results
+
+        expected = run(fresh=True)
+        assert [code for code, _, _ in expected] == [1, 0, 0, 0, 0, 1]
+        assert len(expected[1][1].splitlines()) == 1
+        assert len(expected[2][1].splitlines()) == 3
+
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        monkeypatch.setattr(cli, "_parser", None)
+        assert run(fresh=False) == expected
+        assert len(builds) <= 1
 
 
 class TestParserBasics:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -13,6 +15,7 @@ from votedist import (
     ElectionMetric,
     INFINITY,
     InconclusiveSearch,
+    PreferenceOrder,
     condorcet_winner,
     deletion_score,
     dodgson_winners,
@@ -24,6 +27,51 @@ from votedist import (
     replacement_winners,
     young_winners,
 )
+from votedist import oracle
+
+EDIT_METRICS = (
+    ElectionMetric.INSERTION,
+    ElectionMetric.INSERTION_QUASI,
+    ElectionMetric.DELETION,
+    ElectionMetric.DELETION_QUASI,
+)
+
+
+def reference_edit_score(e, metric, cand, budget, additions):
+    """The edit oracle by election building: every deletion subset plus every
+    appended multiset becomes an ``Election``, ``condorcet_winner`` decides
+    whether ``cand`` wins it, and the certification rule is the oracle's."""
+    if additions == "top":
+        top = PreferenceOrder((cand,) + tuple(x for x in range(e.m) if x != cand))
+
+        def choices(extra):
+            return ([top] * extra,)
+    else:
+        orders = [PreferenceOrder(r) for r in itertools.permutations(range(e.m))]
+
+        def choices(extra):
+            return itertools.combinations_with_replacement(orders, extra)
+
+    best = INFINITY
+    for r in range(e.n + 1):
+        for drop in itertools.combinations(e.voters, r):
+            trimmed = e.delete_voters(drop)
+            for extra in range(budget + 1):
+                for ballots in choices(extra):
+                    modified = trimmed.add_voters(ballots)
+                    winner = condorcet_winner(modified)
+                    if winner is not None and winner.index == cand:
+                        best = min(best, election_distance(metric, e, modified))
+    if not best <= oracle._certified_floor(metric, e.n, budget):
+        return "inconclusive"
+    return best
+
+
+def oracle_edit_score(e, metric, cand, budget, additions):
+    try:
+        return dr_score_oracle(e, metric, cand, addition_budget=budget, additions=additions)
+    except InconclusiveSearch:
+        return "inconclusive"
 
 
 class TestProfileMetricOracle:
@@ -164,3 +212,85 @@ class TestWinnersOracle:
         for metric in ElectionMetric:
             ws = dr_winners_oracle(e, metric)
             assert {c.name for c in ws.winners} == {"a"}
+
+
+class TestEditArithmetic:
+    """The edit oracle decides winners from tally arithmetic; these pin it to
+    the election-building reference above and to ``condorcet_winner``."""
+
+    def test_matches_election_building_reference(self):
+        rng = random.Random(20261019)
+        for _ in range(40):
+            m, n = rng.randint(1, 4), rng.randint(0, 4)
+            e = random_election(rng, m, n)
+            for additions in ("top", "all"):
+                pool = 1 if additions == "top" else factorial(m)
+                # keep each reference scan to a few hundred elections
+                cap = max(
+                    b for b in range(n + 2) if b == 0 or 2**n * comb(pool + b, b) <= 400
+                )
+                budget = rng.randint(0, cap)
+                asked = None if budget == n + 1 else budget  # the default is n + 1
+                for metric in EDIT_METRICS:
+                    for c in range(m):
+                        assert oracle_edit_score(
+                            e, metric, c, asked, additions
+                        ) == reference_edit_score(e, metric, c, budget, additions), (
+                            e, metric, c, budget, additions,
+                        )
+
+    def test_single_candidate_wins_any_nonempty_election(self):
+        for n in range(1, 4):
+            e = Election.from_names(["a"], [["a"]] * n)
+            for metric in EDIT_METRICS:
+                for additions in ("top", "all"):
+                    assert dr_score_oracle(e, metric, "a", additions=additions) == 0
+
+    def test_empty_election_has_no_winner(self):
+        # Dropping every voter and adding none leaves an election nobody
+        # wins, even with one candidate, whose win condition is vacuous.
+        e = Election.from_names(["a"], [])
+        assert dr_score_oracle(e, ElectionMetric.INSERTION, "a") == 1
+        assert dr_score_oracle(e, ElectionMetric.INSERTION_QUASI, "a") == 1
+        assert dr_score_oracle(e, ElectionMetric.DELETION_QUASI, "a") == INFINITY
+        with pytest.raises(InconclusiveSearch):
+            dr_score_oracle(e, ElectionMetric.INSERTION, "a", addition_budget=0)
+        assert (
+            dr_score_oracle(e, ElectionMetric.DELETION_QUASI, "a", addition_budget=0)
+            == INFINITY
+        )
+
+    def test_zero_budget_without_winning_deletion(self):
+        e = Election.from_names(["a", "b"], [["b", "a"], ["b", "a"]])
+        for metric in EDIT_METRICS[:3]:
+            with pytest.raises(InconclusiveSearch):
+                dr_score_oracle(e, metric, "a", addition_budget=0)
+        assert (
+            dr_score_oracle(e, ElectionMetric.DELETION_QUASI, "a", addition_budget=0)
+            == INFINITY
+        )
+
+    def test_minimum_is_confirmed_by_condorcet_winner(self, monkeypatch):
+        seen = []
+
+        def spy(election):
+            seen.append(election)
+            return condorcet_winner(election)
+
+        monkeypatch.setattr(oracle, "condorcet_winner", spy)
+        e = Election.from_names(
+            ["a", "b", "c"], [["b", "a", "c"], ["c", "b", "a"], ["b", "c", "a"]]
+        )
+        for metric in EDIT_METRICS[:3]:
+            for c in range(e.m):
+                seen.clear()
+                value = dr_score_oracle(e, metric, c)
+                (witness,) = seen
+                assert condorcet_winner(witness).index == c
+                assert election_distance(metric, e, witness) == value
+
+    def test_disagreeing_confirmation_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(oracle, "condorcet_winner", lambda election: None)
+        e = Election.from_names(["a", "b"], [["a", "b"], ["b", "a"]])
+        with pytest.raises(AssertionError, match="condorcet_winner"):
+            dr_score_oracle(e, ElectionMetric.INSERTION, "a")

@@ -9,6 +9,7 @@ vote identically", so profiles are never reduced to anonymous multisets.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from collections import Counter
@@ -88,48 +89,40 @@ class PreferenceOrder:
         return self.ranking[0]
 
 
-class _PositionalNames(Sequence[str]):
-    """The voter names ``v1..vn``, formatted when read.
+class _LazyTuple(Sequence):
+    """A read-only sequence that stands for a tuple it builds only when iterated.
 
-    Behaves like the tuple of those names (length, indexing, slicing to a
-    tuple, iteration, membership, equality and hash, ``+`` with a tuple) while
-    storing only ``n`` until the names are iterated, so a parsed million-voter
-    profile that is only tallied holds no million name strings.
+    It has the tuple's length, indexing (slices give tuples), iteration,
+    membership, equality and hash, and ``+`` with a tuple.  A subclass stores
+    something smaller than the tuple, sets ``_flat`` to None, and supplies
+    ``__len__``, ``_item(k)`` for ``0 <= k < len``, ``_build()`` for the
+    whole tuple, and ``__reduce__``.  The first iteration keeps the tuple it
+    builds: the oracle iterates the voters and ballots of one small parsed
+    election hundreds of thousands of times, and set() over five names
+    formatted anew takes 2.1 us against 0.3 us over a tuple (Python 3.11).
     """
 
-    __slots__ = ("_n", "_names")
-
-    def __init__(self, n: int) -> None:
-        self._n = n
-        self._names: tuple[str, ...] | None = None
-
-    def __len__(self) -> int:
-        return self._n
+    __slots__ = ("_flat",)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(f"v{k + 1}" for k in range(*i.indices(self._n)))
+            return tuple(map(self._item, range(*i.indices(len(self)))))
         k = operator.index(i)
+        n = len(self)
         if k < 0:
-            k += self._n
-        if not 0 <= k < self._n:
-            raise IndexError("voter index out of range")
-        return f"v{k + 1}"
+            k += n
+        if not 0 <= k < n:
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return self._item(k)
 
     def __iter__(self):
-        # The first iteration keeps the names it formats.  The oracle iterates
-        # the voters of one small parsed election hundreds of thousands of
-        # times, and set() over five names formatted anew takes 2.1 us
-        # against 0.3 us over a tuple (Python 3.11).
-        if self._names is None:
-            self._names = tuple([f"v{k}" for k in range(1, self._n + 1)])
-        return iter(self._names)
+        if self._flat is None:
+            self._flat = self._build()
+        return iter(self._flat)
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is _PositionalNames:
-            return self._n == other._n
-        if isinstance(other, tuple):
-            return len(other) == self._n and all(map(operator.eq, self, other))
+        if isinstance(other, (tuple, _LazyTuple)):
+            return len(other) == len(self) and all(map(operator.eq, self, other))
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -140,11 +133,92 @@ class _PositionalNames(Sequence[str]):
             return tuple(self) + other
         return NotImplemented
 
+
+class _PositionalNames(_LazyTuple):
+    """The voter names ``v1..vn``, formatted when read.
+
+    Stores only ``n`` until the names are iterated, so a parsed
+    million-voter profile that is only tallied holds no million name strings.
+    """
+
+    __slots__ = ("_n",)
+
+    def __init__(self, n: int) -> None:
+        self._n = n
+        self._flat = None
+
+    def __len__(self) -> int:
+        return self._n
+
+    def _item(self, k: int) -> str:
+        return f"v{k + 1}"
+
+    def _build(self) -> tuple[str, ...]:
+        return tuple([f"v{k}" for k in range(1, self._n + 1)])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is _PositionalNames:
+            return self._n == other._n
+        return super().__eq__(other)
+
+    __hash__ = _LazyTuple.__hash__
+
     def __reduce__(self):
         return (_PositionalNames, (self._n,))
 
     def __repr__(self) -> str:
         return f"_PositionalNames({self._n})"
+
+
+class _CountedRuns(_LazyTuple):
+    """A profile stored as ``(ballot, count)`` runs, one per counted line.
+
+    Stands for the tuple in which each run's ballot object appears ``count``
+    times in a row, while storing only the runs and their cumulative ends,
+    so a parsed million-voter profile costs O(lines) until it is iterated.
+    Runs may split or repeat a ranking; only the flat sequence counts, so
+    split runs equal merged ones.
+    """
+
+    __slots__ = ("_runs", "_ends")
+
+    def __init__(self, runs: Iterable[tuple[PreferenceOrder, int]]) -> None:
+        self._runs = tuple(runs)
+        self._ends = tuple(itertools.accumulate(map(operator.itemgetter(1), self._runs)))
+        self._flat = None
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def _item(self, k: int) -> PreferenceOrder:
+        return self._runs[bisect.bisect_right(self._ends, k)][0]
+
+    def _build(self) -> tuple[PreferenceOrder, ...]:
+        copies = itertools.starmap(itertools.repeat, self._runs)
+        return tuple(itertools.chain.from_iterable(copies))
+
+    def runs(self) -> list[tuple[PreferenceOrder, int]]:
+        """The runs with adjacent equal ballots merged: one per maximal block."""
+        merged: list[tuple[PreferenceOrder, int]] = []
+        for ballot, count in self._runs:
+            if merged and merged[-1][0] == ballot:
+                merged[-1] = (merged[-1][0], merged[-1][1] + count)
+            else:
+                merged.append((ballot, count))
+        return merged
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is _CountedRuns:
+            return self.runs() == other.runs()
+        return super().__eq__(other)
+
+    __hash__ = _LazyTuple.__hash__
+
+    def __reduce__(self):
+        return (_CountedRuns, (self._runs,))
+
+    def __repr__(self) -> str:
+        return f"_CountedRuns({self._runs!r})"
 
 
 @dataclass(frozen=True)
@@ -159,16 +233,17 @@ class Election:
     checking only what their own caller supplied; the per-voter passes would
     re-prove facts that hold by construction.
 
-    The public constructor turns ``voters`` into a tuple.  A parsed profile's
-    voters are the positional names ``v1..vn``, kept as a read-only sequence
-    that formats the names when they are read and otherwise behaves like
-    that tuple: it compares and hashes equal to it, so elections built either
-    way are equal and hash alike.
+    The public constructor turns ``voters`` and ``profile`` into tuples.  A
+    parsed profile keeps both smaller: its voters are the positional names
+    ``v1..vn``, formatted when read, and its ballots are stored as counted
+    runs, one ``(ballot, count)`` per profile line.  Each is a read-only
+    sequence that otherwise behaves like its tuple: it compares and hashes
+    equal to it, so elections built either way are equal and hash alike.
     """
 
     candidates: tuple[Candidate, ...]
     voters: Sequence[str]
-    profile: tuple[PreferenceOrder, ...]
+    profile: Sequence[PreferenceOrder]
 
     def __post_init__(self) -> None:
         if vars(self).pop("_derived", False):  # set by _trusted
@@ -215,16 +290,17 @@ class Election:
         cls,
         candidates: tuple[Candidate, ...],
         voters: tuple[str, ...] | _PositionalNames,
-        profile: tuple[PreferenceOrder, ...],
+        profile: tuple[PreferenceOrder, ...] | _CountedRuns,
         ballot_types: tuple[tuple[tuple[int, ...], int], ...] | None = None,
     ) -> "Election":
         """Build an election whose invariants the caller has established.
 
         The arguments must be tuples that the public constructor would
-        accept (``voters`` may also be positional names); none of its checks
-        run.  ``ballot_types``, when given, must equal what the property would
-        compute and seeds its cache.  The object still goes through
-        ``__init__``, so anything wrapping it sees every election built.
+        accept (``voters`` may also be positional names and ``profile``
+        counted runs); none of its checks run.  ``ballot_types``, when given,
+        must equal what the property would compute and seeds its cache.  The
+        object still goes through ``__init__``, so anything wrapping it sees
+        every election built.
         """
         e = cls.__new__(cls)
         state = vars(e)
@@ -287,10 +363,14 @@ class Election:
     def delete_voters(self, names: Iterable[str]) -> "Election":
         """Return the election restricted to voters outside ``names``."""
         drop = set(names)
-        unknown = drop - set(self.voters)
+        # The oracle deletes from one small election once per voter subset;
+        # its cached ballot_of spares rebuilding a voter set and zipping two
+        # lazy sequences on every call.
+        ballots = self.ballot_of
+        unknown = drop - ballots.keys()
         if unknown:
             raise KeyError(f"cannot delete unknown voters {sorted(unknown)}")
-        kept = [(v, b) for v, b in zip(self.voters, self.profile) if v not in drop]
+        kept = [(v, b) for v, b in ballots.items() if v not in drop]
         return Election._trusted(
             self.candidates,
             tuple(v for v, _ in kept),
@@ -386,10 +466,10 @@ def pairwise_tally(e: Election) -> PairwiseTally:
             recount[ballot.ranking] = recount.get(ballot.ranking, 0) + 1
         weights = recount.items()
     for ranking, w in weights:
-        for i in range(m):
-            winner = ranking[i]
-            for j in range(i + 1, m):
-                counts[winner][ranking[j]] += w
+        for i, winner in enumerate(ranking):
+            row = counts[winner]
+            for loser in ranking[i + 1:]:
+                row[loser] += w
     return PairwiseTally._trusted(tuple(tuple(row) for row in counts), e.n)
 
 

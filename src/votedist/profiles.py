@@ -19,10 +19,14 @@ positional names.  Those names are formatted on demand: the parsed election's
 million-voter profile that is only tallied builds no million name strings.
 
 Each counted line becomes one validated ``PreferenceOrder`` that all of its
-voters share; the order is frozen, so sharing is safe, and a line costs one
-ballot object however large its count.  The lines are also counted once into
-the election's ballot types (lines with the same ranking merge), so the
-pairwise tally and plurality run over those types, not over every voter.
+voters share; the order is frozen, so sharing is safe.  The profile is stored
+as those counted runs, one ``(ballot, count)`` per line: the parsed
+election's ``profile`` is a read-only sequence over the runs that behaves
+like the flat tuple of ballots (it compares and hashes equal to it) and
+builds that tuple only when iterated, so a line costs the same however large
+its count.  The lines are also counted once into the election's ballot types
+(lines with the same ranking merge), so the pairwise tally and plurality run
+over those types, not over every voter, and serializing writes the runs.
 
 All checking happens here, line by line; the election is then built through
 the trusted constructor, since every fact its per-voter passes would check
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import Candidate, Election, PreferenceOrder, _PositionalNames
+from .core import Candidate, Election, PreferenceOrder, _CountedRuns, _PositionalNames
 
 
 class ProfileParseError(ValueError):
@@ -72,7 +76,7 @@ def parse_profile(text: str) -> Election:
     index = {name: i for i, name in enumerate(names)}
     roster = sorted(names)
 
-    ballots: list[PreferenceOrder] = []
+    runs: list[tuple[PreferenceOrder, int]] = []
     types: dict[tuple[int, ...], int] = {}
     for lineno, line in lines[2:]:
         head, sep, tail = line.partition(":")
@@ -87,13 +91,14 @@ def parse_profile(text: str) -> Election:
                 f"line {lineno}: ballot must rank every candidate exactly once"
             )
         ranking = tuple(index[token] for token in entries)
-        ballots.extend([PreferenceOrder(ranking)] * count)
+        runs.append((PreferenceOrder(ranking), count))
         types[ranking] = types.get(ranking, 0) + count
 
+    profile = _CountedRuns(runs)
     return Election._trusted(
         candidates,
-        _PositionalNames(len(ballots)),
-        tuple(ballots),
+        _PositionalNames(len(profile)),
+        profile,
         tuple(sorted(types.items())),
     )
 
@@ -102,12 +107,17 @@ def serialize_profile(e: Election, comments: tuple[str, ...] = ()) -> str:
     """Render an election in the profile format, byte-stable.
 
     Consecutive identical ballots collapse into one counted line, which
-    keeps ballot order (and so the positional voter identities) intact.
+    keeps ballot order (and so the positional voter identities) intact.  A
+    parsed profile is written from its counted runs, never voter by voter.
     """
     out = [f"# {comment}" for comment in comments]
     out.append(str(e.m))
     out.append(" ".join(e.candidate_names))
-    for ranking, group in itertools.groupby(ballot.ranking for ballot in e.profile):
-        row = " > ".join(e.candidate_names[i] for i in ranking)
-        out.append(f"{sum(1 for _ in group)}: {row}")
+    if isinstance(e.profile, _CountedRuns):
+        runs = e.profile.runs()
+    else:
+        runs = [(ballot, sum(1 for _ in group)) for ballot, group in itertools.groupby(e.profile)]
+    for ballot, count in runs:
+        row = " > ".join(e.candidate_names[i] for i in ballot.ranking)
+        out.append(f"{count}: {row}")
     return "\n".join(out) + "\n"

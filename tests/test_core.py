@@ -17,12 +17,16 @@ from votedist import (
     Election,
     PairwiseTally,
     PreferenceOrder,
+    build_election,
     condorcet_winner,
     is_consensus,
     pairwise_tally,
+    parse_dimacs,
     parse_profile,
+    restrict,
+    serialize_profile,
 )
-from votedist.core import _PositionalNames
+from votedist.core import _CountedRuns, _PositionalNames
 
 
 class TestCandidate:
@@ -243,6 +247,74 @@ class TestPositionalNames:
         assert {e: 1}[public] == 1
 
 
+AB, BA = PreferenceOrder((0, 1)), PreferenceOrder((1, 0))
+
+
+class TestCountedRuns:
+    def test_equals_and_hashes_like_its_tuple(self):
+        runs = _CountedRuns([(AB, 2), (BA, 1), (AB, 1)])
+        as_tuple = (AB, AB, BA, AB)
+        assert runs == as_tuple and as_tuple == runs
+        assert not (runs != as_tuple or as_tuple != runs)
+        assert hash(runs) == hash(as_tuple)
+        assert runs != as_tuple[:3] and as_tuple[:3] != runs
+        assert runs != (AB, AB, BA, BA) and (AB, AB, BA, BA) != runs
+        assert runs != list(as_tuple)
+        assert runs != _PositionalNames(4) and _PositionalNames(4) != runs
+        assert _CountedRuns([]) == () and hash(_CountedRuns([])) == hash(())
+
+    def test_split_runs_equal_merged_runs(self):
+        merged = _CountedRuns([(AB, 3), (BA, 2)])
+        split = _CountedRuns([(AB, 1), (PreferenceOrder((0, 1)), 2), (BA, 1), (BA, 1)])
+        assert split == merged and merged == split
+        assert hash(split) == hash(merged)
+        assert split.runs() == merged.runs() == [(AB, 3), (BA, 2)]
+        assert merged != _CountedRuns([(AB, 2), (BA, 3)])
+        assert merged != _CountedRuns([(BA, 2), (AB, 3)])
+
+    def test_indexing_slices_and_iteration(self):
+        runs = _CountedRuns([(AB, 2), (BA, 3), (AB, 1)])
+        as_tuple = (AB, AB, BA, BA, BA, AB)
+        assert len(runs) == 6 and tuple(runs) == as_tuple
+        for i in range(-6, 6):
+            assert runs[i] is as_tuple[i]
+        for i in (6, -7, 100):
+            with pytest.raises(IndexError):
+                runs[i]
+        for s in (slice(1, 4), slice(None, None, -2), slice(-2, None), slice(7, 9)):
+            assert runs[s] == as_tuple[s]
+            assert isinstance(runs[s], tuple)
+        assert runs + (BA,) == as_tuple + (BA,)
+        assert isinstance(runs + (BA,), tuple)
+        assert BA in runs and PreferenceOrder((0, 1, 2)) not in runs
+        with pytest.raises(IndexError):
+            _CountedRuns([])[0]
+
+    def test_pickle_keeps_runs(self):
+        runs = _CountedRuns([(AB, 50), (BA, 7)])
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(runs, protocol))
+            assert isinstance(again, _CountedRuns) and again == runs
+            assert again.runs() == [(AB, 50), (BA, 7)]
+            assert again._flat is None
+
+    def test_voters_of_one_line_share_one_ballot(self):
+        e = parse_profile("2\na b\n4: a > b\n3: b > a\n")
+        assert isinstance(e.profile, _CountedRuns)
+        assert len({id(b) for b in e.profile[:4]}) == 1
+        assert len({id(b) for b in e.profile}) == 2
+        assert e.profile[0] is e.profile[3] is not e.profile[4]
+
+    def test_parsed_election_equals_public_construction(self):
+        e = parse_profile("3\na b c\n2: a > b > c\n1: c > b > a\n2: a > b > c\n")
+        public = Election(e.candidates, e.voters, e.profile)
+        assert isinstance(public.profile, tuple)
+        assert e == public and public == e
+        assert hash(e) == hash(public)
+        assert e == parse_profile("3\na b c\n1: a > b > c\n1: a > b > c\n1: c > b > a\n2: a > b > c\n")
+        assert pickle.loads(pickle.dumps(e)) == e
+
+
 class TestPairwiseTally:
     def test_example_counts(self, example_election):
         t = pairwise_tally(example_election)
@@ -256,13 +328,31 @@ class TestPairwiseTally:
         for (x, y), count in expect.items():
             assert t.counts[names.index(x)][names.index(y)] == count
 
+    @staticmethod
+    def assert_counts_every_voter(e: Election) -> None:
+        t = pairwise_tally(e)
+        assert t.n == e.n
+        for x, y in itertools.product(range(e.m), repeat=2):
+            direct = sum(1 for ballot in e.profile if ballot.prefers(x, y))
+            assert t.counts[x][y] == direct
+
     def test_matches_direct_recount(self, rng):
-        for _ in range(50):
-            e = random_election(rng, rng.randint(1, 5), rng.randint(0, 8))
-            t = pairwise_tally(e)
-            for x, y in itertools.permutations(range(e.m), 2):
-                direct = sum(1 for ballot in e.profile if ballot.prefers(x, y))
-                assert t.counts[x][y] == direct
+        shapes = [(1, 0), (1, 3), (4, 0)] + [
+            (rng.randint(1, 5), rng.randint(0, 8)) for _ in range(50)
+        ]
+        for m, n in shapes:
+            public = random_election(rng, m, n)
+            parsed = parse_profile(serialize_profile(public))
+            assert "ballot_types" in vars(parsed) and "ballot_types" not in vars(public)
+            self.assert_counts_every_voter(public)  # recounts the ballots
+            self.assert_counts_every_voter(parsed)  # runs over the seeded types
+
+    def test_matches_direct_recount_on_a_reduction_election(self):
+        c5 = "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n"
+        e = build_election(restrict(parse_dimacs(c5, 3))).election
+        assert e.m >= 20
+        self.assert_counts_every_voter(e)
+        self.assert_counts_every_voter(parse_profile(serialize_profile(e)))
 
     def test_validation(self):
         with pytest.raises(ValueError):

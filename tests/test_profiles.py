@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 import tracemalloc
 from collections import Counter
 
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 from conftest import random_election
 from votedist import (
     Election,
+    ElectionMetric,
     ProfileParseError,
+    election_distance,
     pairwise_tally,
     parse_profile,
     serialize_profile,
@@ -72,6 +76,27 @@ class TestParseProfile:
         # public has no ballot types yet, so this tally recounts every ballot
         assert e.tally == pairwise_tally(public)
         assert e.ballot_types == tuple(sorted(Counter(b.ranking for b in e.profile).items()))
+        assert e.profile == public.profile and hash(e.profile) == hash(tuple(e.profile))
+
+    @settings(max_examples=100, deadline=None)
+    @given(profile_texts())
+    def test_parsed_election_derives_like_public_constructor(self, text):
+        e = parse_profile(text)
+        public = Election(e.candidates, e.voters, e.profile)
+        drop = public.voters[::2]
+        extra = [tuple(range(e.m))[::-1]] * 2
+        assert parse_profile(text).ballot_of == public.ballot_of
+        assert parse_profile(text).delete_voters(drop) == public.delete_voters(drop)
+        assert parse_profile(text).add_voters(extra) == public.add_voters(extra)
+        others = (public, public.delete_voters(drop), public.add_voters(extra))
+        for metric in ElectionMetric:
+            for other in others:
+                assert election_distance(metric, parse_profile(text), other) == (
+                    election_distance(metric, public, other)
+                )
+                assert election_distance(metric, other, parse_profile(text)) == (
+                    election_distance(metric, other, public)
+                )
 
     @pytest.mark.parametrize(
         "text",
@@ -99,8 +124,8 @@ class TestParseProfile:
             parse_profile(text)
 
     def test_million_voter_line_builds_no_per_voter_names(self):
-        # Pointers to the one shared ballot are all a voter may cost here; a
-        # million name strings alone would take over 55 MB.
+        # The line is one counted run: a million name strings would take over
+        # 55 MB, and a million pointers to the one shared ballot 8 MB.
         tracemalloc.start()
         try:
             e = parse_profile("2\na b\n1000000: a > b\n")
@@ -108,7 +133,7 @@ class TestParseProfile:
         finally:
             tracemalloc.stop()
         assert e.n == 1_000_000
-        assert peak < 32 * 2**20
+        assert peak < 2**20
 
     def test_error_mentions_line_number(self):
         with pytest.raises(ProfileParseError, match="line 4"):
@@ -121,6 +146,23 @@ class TestSerializeProfile:
             ["a", "b"], [["a", "b"], ["a", "b"], ["b", "a"], ["a", "b"]]
         )
         assert serialize_profile(e) == "2\na b\n2: a > b\n1: b > a\n1: a > b\n"
+
+    def test_parsed_profile_is_written_from_its_runs(self):
+        rng = random.Random(14)
+        rankings = list(itertools.permutations("abcd"))
+        rows = [f"100: {' > '.join(rng.choice(rankings))}" for _ in range(10_000)]
+        text = "4\na b c d\n" + "\n".join(rows) + "\n"
+        e = parse_profile(text)
+        # The per-voter grouping of the flat profile, as it was written before
+        # profiles were stored as runs; adjacent lines with one ranking merge.
+        flat = tuple(parse_profile(text).profile)
+        expected = ["4", "a b c d"] + [
+            f"{sum(1 for _ in group)}: {' > '.join('abcd'[i] for i in ranking)}"
+            for ranking, group in itertools.groupby(ballot.ranking for ballot in flat)
+        ]
+        assert len(expected) - 2 < len(rows)
+        assert serialize_profile(e) == "\n".join(expected) + "\n"
+        assert e.profile._flat is None
 
     def test_comments_rendered(self):
         e = Election.from_names(["a"], [])

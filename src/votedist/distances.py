@@ -135,6 +135,12 @@ def deletion_quasidistance(e1: Election, e2: Election) -> Value:
     return insertion_quasidistance(e2, e1)
 
 
+def _step_cost(touched: int, larger: int) -> Fraction:
+    """``2 - 1/(touched + larger**2 + 1)``: one edit touching ``touched``
+    voters, where the larger of its two elections has ``larger`` voters."""
+    return 2 - Fraction(1, touched + larger * larger + 1)
+
+
 def deletion_step_cost(e1: Election, e2: Election) -> Value:
     """Cost of one voter-set edit, tuned to favour small deletions.
 
@@ -157,9 +163,7 @@ def deletion_step_cost(e1: Election, e2: Election) -> Value:
         return INFINITY
     if not _shared_voters_agree(e1, e2):
         return INFINITY
-    k = abs(len(b1) - len(b2))
-    big = max(len(b1), len(b2))
-    return 2 - Fraction(1, k + big * big + 1)
+    return _step_cost(abs(len(b1) - len(b2)), max(len(b1), len(b2)))
 
 
 def deletion_distance(e1: Election, e2: Election) -> Value:
@@ -184,15 +188,9 @@ def deletion_distance(e1: Election, e2: Election) -> Value:
         return Fraction(0)
     n1, n2 = len(b1), len(b2)
     if (b1.keys() < b2.keys() or b2.keys() < b1.keys()) and _shared_voters_agree(e1, e2):
-        k = abs(n1 - n2)
-        big = max(n1, n2)
-        return 2 - Fraction(1, k + big * big + 1)
+        return _step_cost(abs(n1 - n2), max(n1, n2))
     agreeing = sum(1 for v in b1.keys() & b2.keys() if b1[v] == b2[v])
-    return (
-        4
-        - Fraction(1, (n1 - agreeing) + n1 * n1 + 1)
-        - Fraction(1, (n2 - agreeing) + n2 * n2 + 1)
-    )
+    return _step_cost(n1 - agreeing, n1) + _step_cost(n2 - agreeing, n2)
 
 
 class ElectionMetric(Enum):

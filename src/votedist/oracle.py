@@ -44,6 +44,7 @@ from .distances import (
     INFINITY,
     ElectionMetric,
     Value,
+    _step_cost,
     election_distance,
     swap_distance,
 )
@@ -181,10 +182,7 @@ def _certified_floor(metric: ElectionMetric, n: int, budget: int) -> Value:
     if metric is ElectionMetric.DELETION_QUASI:
         return INFINITY
     if metric is ElectionMetric.DELETION:
-        from fractions import Fraction
-
-        j = budget + 1
-        return 2 - Fraction(1, j + (n + j) ** 2 + 1)
+        return _step_cost(budget + 1, n + budget + 1)
     return budget
 
 

@@ -74,7 +74,6 @@ def parse_profile(text: str) -> Election:
     except ValueError as exc:
         raise ProfileParseError(str(exc)) from None
     index = {name: i for i, name in enumerate(names)}
-    roster = sorted(names)
 
     runs: list[tuple[PreferenceOrder, int]] = []
     types: dict[tuple[int, ...], int] = {}
@@ -86,13 +85,18 @@ def parse_profile(text: str) -> Election:
         if count < 1:
             raise ProfileParseError(f"line {lineno}: ballot count must be positive")
         entries = [token.strip() for token in tail.split(">")]
-        if sorted(entries) != roster:
+        # A full-length ranking of known names is a permutation exactly when
+        # PreferenceOrder accepts it.
+        try:
+            if len(entries) != m:
+                raise ValueError("wrong ballot length")
+            order = PreferenceOrder(tuple(index[token] for token in entries))
+        except (KeyError, ValueError):
             raise ProfileParseError(
                 f"line {lineno}: ballot must rank every candidate exactly once"
-            )
-        ranking = tuple(index[token] for token in entries)
-        runs.append((PreferenceOrder(ranking), count))
-        types[ranking] = types.get(ranking, 0) + count
+            ) from None
+        runs.append((order, count))
+        types[order.ranking] = types.get(order.ranking, 0) + count
 
     profile = _CountedRuns(runs)
     return Election._trusted(

@@ -26,9 +26,10 @@ that ``p`` wins under the replacement rule exactly on yes-instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import Candidate, Election, PreferenceOrder
-from .scores import replacement_score
+from .scores import _depth_first, replacement_score
 
 
 class GraphParseError(ValueError):
@@ -112,8 +113,8 @@ def vc_exact(g: VcInstance) -> int:
     """Size of a minimum vertex cover, by branch and bound.
 
     Branches on a maximum-degree vertex: either it joins the cover, or all
-    of its neighbours must.  The search edits one adjacency structure in
-    place and undoes each branch on the way back, on an explicit stack, so
+    of its neighbours must.  The search (``_depth_first``) edits one
+    adjacency structure in place and undoes each branch on the way back, so
     neither its depth nor its memory grows by a graph copy per level.
     Intended for the small instances the reduction tests use; the search is
     exponential in general.
@@ -152,37 +153,25 @@ def vc_exact(g: VcInstance) -> int:
                 adj[u].add(v)
                 live.add(u)
 
-    def branch_vertex(acc: int) -> int | None:
-        """The vertex to branch on, or None once the node is settled."""
+    def expand(acc: int, is_root: bool) -> Iterator[int]:
+        """Settle a node of cover size ``acc``, then branch on a
+        maximum-degree vertex: it joins the cover, or its neighbours do."""
         nonlocal best
         if not live:
             best = min(best, acc)
-            return None
+            return
         pick = min(live, key=lambda v: (-len(adj[v]), v))
         if acc + -(-edges // len(adj[pick])) >= best:
-            return None
-        return pick
-
-    # Each frame: the branching vertex, the cover size so far, the removals
-    # of its current branch, and that branch (0: the vertex joins, 1: its
-    # neighbours join, 2: done).
-    stack = []
-    pick = branch_vertex(0)
-    if pick is not None:
-        stack.append([pick, 0, [], 0])
-    while stack:
-        frame = stack[-1]
-        pick, acc, removed, branch = frame
+            return
+        removed = remove((pick,))
+        yield acc + 1
         restore(removed)
-        if branch == 2:
-            stack.pop()
-            continue
-        chosen = (pick,) if branch == 0 else (pick, *adj[pick])
-        acc += 1 if branch == 0 else len(chosen) - 1
-        frame[2], frame[3] = remove(chosen), branch + 1
-        child = branch_vertex(acc)
-        if child is not None:
-            stack.append([child, acc, [], 0])
+        chosen = (pick, *adj[pick])
+        removed = remove(chosen)
+        yield acc + len(chosen) - 1
+        restore(removed)
+
+    _depth_first(expand, 0)
     return best
 
 

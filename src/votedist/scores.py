@@ -16,11 +16,14 @@ branch and bound (``_min_cover``); deletion only asks whether a cover fits
 each budget.  The Dodgson score gets its own search over class-level lift
 counts (how many copies of a class lift ``cand`` to each slot of its chain).
 Both searches follow one template: they branch on how many copies of a class
-to take (or to lift to each slot) on an explicit stack, so their depth does
-not depend on the weights or on Python's recursion limit; they start from a
-greedy incumbent; and they prune by cheap counting bounds first and only then
-by the Lagrangian (LP) bound of the per-opponent needs, evaluated in
-integers.  Both run over equivalence classes rather than ballot types:
+to take (or to lift to each slot), on one depth-first driver
+(``_depth_first``, which ``reduction.vc_exact`` shares) whose stack holds a
+generator per level, so their depth does not depend on the weights or on
+Python's recursion limit; they start from a greedy incumbent; and they prune
+by cheap counting bounds first and only then by the Lagrangian (LP) bound of
+the per-opponent needs, evaluated in integers on multipliers that one
+subgradient loop (``_subgradient``) chooses.  Both run over equivalence
+classes rather than ballot types:
 ballots that behave alike in the search (the same cover mask, or the same
 lift chain up to its last useful entry) are merged into one weighted item,
 so the work grows with the number of distinct behaviours, not with the
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any, Callable, Iterator
 
 from .core import CandidateRef, Election, PairwiseTally
 from .distances import INFINITY, Value
@@ -144,8 +148,8 @@ def _cover_types(e: Election, cand: int, opponents: list[int]) -> tuple[list[int
 # as the integer numerator p_j of p_j / _DENOM, so every bound a search
 # prunes with is evaluated exactly.
 _DENOM = 1 << 16
-# Subgradient steps at the root (deflected, see _cover_relax and
-# _lift_search) and at every other node (warm-started from its parent).
+# Subgradient steps at the root (deflected, see _subgradient) and at every
+# other node (warm-started from its parent).
 _ROOT_STEPS = 40
 _NODE_STEPS = 8
 
@@ -194,6 +198,87 @@ def _greedy_cover(weights: list[int], masks: list[int], needs: list[int]) -> int
     return size
 
 
+def _depth_first(expand: Callable[[Any, bool], Iterator[Any]], root: Any) -> None:
+    """Search the tree below ``root`` depth first, children in yield order.
+
+    ``expand(node, is_root)`` is a generator: it settles ``node``, prunes,
+    and yields the node's children one by one; whatever it runs after its
+    last yield (an undo step) runs once the node's subtree is done.  The
+    stack holds one suspended generator per level, so the depth of a search
+    does not depend on Python's recursion limit.
+    """
+    stack = [expand(root, True)]
+    while stack:
+        for child in stack[-1]:
+            stack.append(expand(child, False))
+            break
+        else:
+            stack.pop()
+
+
+def _suffix_reach(rows: list, weights: list[int], size: int) -> list[list[int]]:
+    """``reach[t][j]``: the copies in classes t, t + 1, ... whose row lists j."""
+    reach = [[0] * size for _ in range(len(rows) + 1)]
+    for t in range(len(rows) - 1, -1, -1):
+        reach[t] = list(reach[t + 1])
+        for j in rows[t]:
+            reach[t][j] += weights[t]
+    return reach
+
+
+def _subgradient(
+    needs: list[int],
+    lam: list[float],
+    root: bool,
+    solve: Callable[[list[int]], tuple[int, list[int], int] | None],
+) -> list[float] | None:
+    """Choose Lagrangian multipliers for per-constraint ``needs``; None prunes.
+
+    ``solve(p)`` evaluates the relaxation at the integer numerators ``p`` of
+    ``λ`` over ``_DENOM`` and returns None to prune, or ``(value, gains,
+    target)``: the bound times ``_DENOM``, how much each constraint gets in
+    the relaxed solution, and the value the bound must reach to prune.
+    Since every bound is evaluated in integers on ``λ`` rounded to
+    numerators, rounding never over-prunes.  A constraint whose need is
+    already met keeps ``λ = 0``: it holds anyway.  Subgradient steps choose
+    ``λ`` in floats; the step length follows Polyak's rule toward
+    ``target`` and halves after three steps without a better bound.  The
+    root takes more steps and deflects each one (Camerini, Fratta &
+    Maffioli, 1975).  Returns the last multipliers.
+    """
+    lam = [x if nd > 0 else 0.0 for x, nd in zip(lam, needs)]
+    theta = 2.0
+    top = stall = 0
+    direction = [0.0] * len(needs)
+    for step in range(_ROOT_STEPS if root else _NODE_STEPS):
+        solved = solve([round(x * _DENOM) for x in lam])
+        if solved is None:
+            return None
+        value, gains, target = solved
+        bound = -(-value // _DENOM)
+        if bound >= target:
+            return None
+        if step == 0 or bound > top:
+            top, stall = bound, 0
+        else:
+            stall += 1
+            if stall == 3:
+                theta, stall = theta / 2, 0
+        sub = [nd - g if nd > 0 else 0 for nd, g in zip(needs, gains)]
+        if root:
+            dot = sum(a * b for a, b in zip(sub, direction))
+            if dot < 0:
+                beta = -1.5 * dot / sum(b * b for b in direction)
+                sub = [a + beta * b for a, b in zip(sub, direction)]
+            direction = sub
+        norm = sum(s * s for s in sub)
+        if not norm:
+            break
+        alpha = theta * (target - value / _DENOM) / norm
+        lam = [max(0.0, x + alpha * s) for x, s in zip(lam, sub)]
+    return lam
+
+
 def _min_cover(
     weights: list[int],
     masks: list[int],
@@ -211,20 +296,20 @@ def _min_cover(
     search only asks whether some cover fits within ``budget``: it returns
     the size of the first one it meets, which need not be the minimum.
 
-    The search decides, class by class and on an explicit stack, how many
-    copies of each class to take, so its depth is at most the number of
-    classes whatever the weights.  The incumbent starts at
-    ``_greedy_cover``, returned at once when it meets the largest open need
-    (a lower bound) or, with ``feasible``, when it fits the budget.  Each
-    node is pruned by its largest open need, by each constraint's reach
-    (the copies left that cover it), by ``⌈open needs / widest class⌉``,
-    and only then, in searches without a budget and in feasibility
-    searches, by the Lagrangian bound of the covering LP (``_cover_relax``).
-    A cutoff search (exact, with a budget) keeps to the cheap bounds: the
-    cutoffs ``verify_reduction`` asks for certify "above k" on vertex-cover
-    encodings, whose covering LP is as weak as vertex cover's, and there
-    the LP cost more than it pruned (about 1.7 times the time on seeded
-    reduction elections).
+    The search (``_depth_first``) decides, class by class, how many copies
+    of each class to take, so its depth is at most the number of classes
+    whatever the weights; a feasibility search unwinds as soon as a cover
+    fits.  The incumbent starts at ``_greedy_cover``, returned at once when
+    it meets the largest open need (a lower bound) or, with ``feasible``,
+    when it fits the budget.  Each node is pruned by its largest open need,
+    by each constraint's reach (the copies left that cover it), by
+    ``⌈open needs / widest class⌉``, and only then, in searches without a
+    budget and in feasibility searches, by the Lagrangian bound of the
+    covering LP (``_cover_relax``).  A cutoff search (exact, with a budget)
+    keeps to the cheap bounds: the cutoffs ``verify_reduction`` asks for
+    certify "above k" on vertex-cover encodings, whose covering LP is as
+    weak as vertex cover's, and there the LP cost more than it pruned (about
+    1.7 times the time on seeded reduction elections).
     """
     k = len(needs)
     needs = [max(0, nd) for nd in needs]
@@ -235,12 +320,10 @@ def _min_cover(
     classes = len(weights)
     cols = [[j for j in range(k) if mask >> j & 1] for mask in masks]
     # reach[t][j]: copies in classes t, t + 1, ... covering constraint j.
-    reach = [[0] * k for _ in range(classes + 1)]
-    for t in range(classes - 1, -1, -1):
-        reach[t] = list(reach[t + 1])
-        for j in cols[t]:
-            reach[t][j] += weights[t]
+    reach = _suffix_reach(cols, weights, k)
     use_relax = budget is None or feasible
+    # A feasibility search stops at the first cover that fits the budget.
+    stop = cap if feasible else -1
 
     def lower(t: int, needs: list[int]) -> int | None:
         """Largest open need and ``⌈open needs / widest class⌉`` from class
@@ -263,56 +346,43 @@ def _min_cover(
     if best <= (cap if feasible else root):
         return best
 
-    stack: list[tuple] = []
-    node = (0, 0, needs, [1.0] * k)
-    while True:
-        if node is not None:
-            t, cost, needs, lam = node
-            node = None
-            open_mask = sum(1 << j for j, nd in enumerate(needs) if nd > 0)
-            if not open_mask:
-                best = min(best, cost)
-                if feasible and best <= cap:
-                    return best
-            else:
-                # A class covering no open constraint takes no copy.
-                while t < classes and not masks[t] & open_mask:
-                    t += 1
-                limit = min(cap, best - 1) - cost
-                bound = lower(t, needs)
-                if bound is not None and bound <= limit:
-                    relaxed = (
-                        _cover_relax(weights, cols, t, needs, lam, limit, root=not stack)
-                        if use_relax
-                        else (lam, True)
-                    )
-                    if relaxed is not None:
-                        lam, take_all = relaxed
-                        # Copies the later classes cannot supply come from
-                        # class t; copies beyond its largest open need are
-                        # wasted, and the rest of the budget must still meet
-                        # every open need class t leaves alone.
-                        lo = max(0, *(needs[j] - reach[t + 1][j] for j in cols[t]))
-                        rest = max(
-                            (nd for j, nd in enumerate(needs) if not masks[t] >> j & 1),
-                            default=0,
-                        )
-                        hi = min(weights[t], max(needs[j] for j in cols[t]), limit - rest)
-                        if lo <= hi:
-                            hs = range(hi, lo - 1, -1) if take_all else range(lo, hi + 1)
-                            stack.append((t, cost, needs, lam, iter(hs)))
-        if not stack:
-            break
-        t, cost, needs, lam, hs = stack[-1]
-        h = next(hs, None)
-        if h is None:
-            stack.pop()
-            continue
-        if h:
-            needs = list(needs)
-            for j in cols[t]:
-                needs[j] -= h
-        node = (t + 1, cost + h, needs, lam)
+    def expand(node: tuple, is_root: bool) -> Iterator[tuple]:
+        nonlocal best
+        t, cost, needs, lam = node
+        open_mask = sum(1 << j for j, nd in enumerate(needs) if nd > 0)
+        if not open_mask:
+            best = min(best, cost)
+            return
+        # A class covering no open constraint takes no copy.
+        while t < classes and not masks[t] & open_mask:
+            t += 1
+        limit = min(cap, best - 1) - cost
+        bound = lower(t, needs)
+        if bound is None or bound > limit:
+            return
+        take_all = True
+        if use_relax:
+            relaxed = _cover_relax(weights, cols, t, needs, lam, limit, root=is_root)
+            if relaxed is None:
+                return
+            lam, take_all = relaxed
+        # Copies the later classes cannot supply come from class t; copies
+        # beyond its largest open need are wasted, and the rest of the budget
+        # must still meet every open need class t leaves alone.
+        lo = max(0, *(needs[j] - reach[t + 1][j] for j in cols[t]))
+        rest = max((nd for j, nd in enumerate(needs) if not masks[t] >> j & 1), default=0)
+        hi = min(weights[t], max(needs[j] for j in cols[t]), limit - rest)
+        for h in range(hi, lo - 1, -1) if take_all else range(lo, hi + 1):
+            if best <= stop:
+                return
+            child = needs
+            if h:
+                child = list(needs)
+                for j in cols[t]:
+                    child[j] -= h
+            yield t + 1, cost + h, child, lam
+
+    _depth_first(expand, (0, 0, needs, [1.0] * k))
     return best if best <= cap else None
 
 
@@ -332,30 +402,21 @@ def _cover_relax(
     For multipliers ``λ >= 0`` the bound over classes t, t + 1, ... is
     ``Σ_j λ_j·need_j + Σ_s w_s·min(0, 1 - Σ_{j∈s} λ_j)``: a class takes
     all its copies exactly when they cost less than the needs they meet.
-    It is evaluated in integers on ``λ`` rounded to numerators over
-    ``_DENOM``, so rounding never over-prunes.  Subgradient steps choose
-    ``λ`` in floats; the step length follows Polyak's rule toward
-    ``limit + 1`` and halves after three steps without a better bound.  The
-    root, which starts from ``λ = 1``, takes more steps and deflects each
-    one (Camerini, Fratta & Maffioli, 1975).
+    ``_subgradient`` chooses ``λ``, from ``λ = 1`` at the root, and prunes
+    once the bound exceeds ``limit``.
     """
-    k = len(needs)
-    # A constraint without needs keeps λ = 0: it holds anyway, so only the
-    # open constraints of each class count.
-    lam = [x if nd > 0 else 0.0 for x, nd in zip(lam, needs)]
     items = []
     for s in range(t, len(weights)):
         cover = [j for j in cols[s] if needs[j] > 0]
         if cover:
             items.append((weights[s], cover))
-    theta = 2.0
-    top = stall = 0
-    direction = [0.0] * k
-    for step in range(_ROOT_STEPS if root else _NODE_STEPS):
-        p = [round(x * _DENOM) for x in lam]
+    take_all = False
+
+    def solve(p: list[int]) -> tuple[int, list[int], int]:
+        nonlocal take_all
         price = p.__getitem__
         value = sum(pj * nd for pj, nd in zip(p, needs))
-        covered = [0] * k
+        covered = [0] * len(needs)
         for w, cover in items:
             rc = _DENOM - sum(map(price, cover))
             if rc < 0:
@@ -364,28 +425,10 @@ def _cover_relax(
                     covered[j] += w
         # Class t covers an open constraint, so it heads the items.
         take_all = _DENOM - sum(map(price, items[0][1])) < 0
-        bound = -(-value // _DENOM)
-        if bound > limit:
-            return None
-        if step == 0 or bound > top:
-            top, stall = bound, 0
-        else:
-            stall += 1
-            if stall == 3:
-                theta, stall = theta / 2, 0
-        sub = [needs[j] - covered[j] if needs[j] > 0 else 0 for j in range(k)]
-        if root:
-            dot = sum(a * b for a, b in zip(sub, direction))
-            if dot < 0:
-                beta = -1.5 * dot / sum(b * b for b in direction)
-                sub = [a + beta * b for a, b in zip(sub, direction)]
-            direction = sub
-        norm = sum(s * s for s in sub)
-        if not norm:
-            break
-        alpha = theta * (limit + 1 - value / _DENOM) / norm
-        lam = [max(0.0, x + alpha * s) for x, s in zip(lam, sub)]
-    return lam, take_all
+        return value, covered, limit + 1
+
+    lam = _subgradient(needs, lam, root, solve)
+    return None if lam is None else (lam, take_all)
 
 
 def replacement_score(e: Election, cand: CandidateRef, *, cutoff: int | None = None) -> Value:
@@ -586,10 +629,8 @@ def dodgson_score(e: Election, cand: CandidateRef) -> int:
     opponent's reach, and only then by the Lagrangian relaxation of the
     per-opponent needs: for multipliers ``λ``, each class is solved alone
     by the minimum prefix sum of ``1 - λ_c`` along its chain, and the best
-    ``λ`` gives the LP bound.  Subgradient steps choose ``λ`` in floats;
-    the bound is evaluated in integers on ``λ`` rounded to a fixed
-    denominator, so rounding never over-prunes.  The search keeps an
-    explicit stack, so its depth does not depend on Python's recursion
+    ``λ`` (chosen by ``_subgradient``) gives the LP bound.  The search runs
+    on ``_depth_first``, so its depth does not depend on Python's recursion
     limit.
     """
     idx = e.candidate_index(cand)
@@ -614,11 +655,7 @@ def _lift_search(
     closed = len(needs)
     classes = len(chains)
     # reach[t][c]: copies in classes t, t + 1, ... whose chain passes c.
-    reach = [[0] * (closed + 1) for _ in range(classes + 1)]
-    for t in range(classes - 1, -1, -1):
-        reach[t] = list(reach[t + 1])
-        for c in chains[t]:
-            reach[t][c] += weights[t]
+    reach = _suffix_reach(chains, weights, closed + 1)
     # slot[t][c]: position of c in chain t, past its end if absent.
     slot = []
     for chain in chains:
@@ -627,26 +664,39 @@ def _lift_search(
             row[c] = i
         slot.append(row)
 
-    def relax(t, e, r, cost, needs, lam, root):
-        """Prune by the Lagrangian bound; else return the last multipliers
-        and whether class t's relaxed lift reaches slot e.
-
-        Each step also completes the relaxed lifts into feasible ones
-        (``_complete_lifts``) for a new incumbent.  The step length follows
-        Polyak's rule toward ``best`` and halves after three steps without
-        a better bound.  The root, which starts from ``λ = 1``, takes more
-        steps and deflects each one (Camerini, Fratta & Maffioli, 1975).
-        """
+    def expand(node: tuple, is_root: bool) -> Iterator[tuple]:
         nonlocal best
-        # An opponent without needs keeps λ = 0: its constraint holds anyway.
-        lam = [x if nd > 0 else 0.0 for x, nd in zip(lam, needs)]
+        t, e, r, cost, needs, lam = node
+        # Skip slots where no lift may end.
+        while t < classes and not (r and e and needs[chains[t][e - 1]] > 0):
+            if r and e > 1:
+                e -= 1
+            else:
+                t += 1
+                if t < classes:
+                    r, e = weights[t], len(chains[t])
+        open_needs = sum(nd for nd in needs[:closed] if nd > 0)
+        if open_needs == 0:
+            best = min(best, cost)
+            return
+        if not (
+            cost + open_needs < best
+            and t < classes
+            and all(
+                reach[t + 1][c] + (r if slot[t][c] < e else 0) >= needs[c]
+                for c in range(closed)
+                if needs[c] > 0
+            )
+        ):
+            return
         sub_chains = [chains[t][:e], *chains[t + 1 :]]
         sub_weights = [r, *weights[t + 1 :]]
-        theta = 2.0
-        top = stall = 0
-        direction = [0.0] * closed
-        for step in range(_ROOT_STEPS if root else _NODE_STEPS):
-            p = [round(x * _DENOM) for x in lam]
+        lift_all = False
+
+        def solve(p: list[int]) -> tuple[int, list[int], int] | None:
+            """The Lagrangian bound, with the relaxed lifts completed into
+            feasible ones (``_complete_lifts``) for a new incumbent."""
+            nonlocal best, lift_all
             value = sum(pc * nd for pc, nd in zip(p, needs))
             gains = [0] * (closed + 1)
             levels = []
@@ -662,81 +712,30 @@ def _lift_search(
                 for c in chain[:cut]:
                     gains[c] += w
                 levels.append([0] * cut + [w] + [0] * (len(chain) - cut))
-            bound = -(-value // _DENOM)
-            if cost + bound >= best:
+            if cost + -(-value // _DENOM) >= best:
                 return None
-            if step == 0 or bound > top:
-                top, stall = bound, 0
-            else:
-                stall += 1
-                if stall == 3:
-                    theta, stall = theta / 2, 0
-            reach_e = levels[0][e] > 0
+            lift_all = levels[0][e] > 0
             residual = [nd - g for nd, g in zip(needs, gains)]
             relaxed += _complete_lifts(residual, sub_chains, levels, p)
             best = min(best, cost + relaxed)
-            if cost + bound >= best:
-                return None
-            sub = [needs[c] - gains[c] if needs[c] > 0 else 0 for c in range(closed)]
-            if root:
-                dot = sum(a * b for a, b in zip(sub, direction))
-                if dot < 0:
-                    beta = -1.5 * dot / sum(b * b for b in direction)
-                    sub = [a + beta * b for a, b in zip(sub, direction)]
-                direction = sub
-            norm = sum(s * s for s in sub)
-            if not norm:
-                break
-            alpha = theta * (best - cost - value / _DENOM) / norm
-            lam = [max(0.0, x + alpha * s) for x, s in zip(lam, sub)] + [0.0]
-        return lam, reach_e
+            return value, gains, best - cost
 
-    stack: list[tuple] = []
-    node = (0, len(chains[0]), weights[0], 0, [*needs, 0], [1.0] * closed + [0.0])
-    while True:
-        if node is not None:
-            t, e, r, cost, needs, lam = node
-            node = None
-            # Skip slots where no lift may end.
-            while t < classes and not (r and e and needs[chains[t][e - 1]] > 0):
-                if r and e > 1:
-                    e -= 1
-                else:
-                    t += 1
-                    if t < classes:
-                        r, e = weights[t], len(chains[t])
-            open_needs = sum(nd for nd in needs[:closed] if nd > 0)
-            if open_needs == 0:
-                best = min(best, cost)
-            elif (
-                cost + open_needs < best
-                and t < classes
-                and all(
-                    reach[t + 1][c] + (r if slot[t][c] < e else 0) >= needs[c]
-                    for c in range(closed)
-                    if needs[c] > 0
-                )
-            ):
-                # Only the root is expanded while the stack is empty.
-                relaxed = relax(t, e, r, cost, needs, lam, root=not stack)
-                if relaxed is not None:
-                    lam, lift_all = relaxed
-                    most = min(r, needs[chains[t][e - 1]])
-                    # Try first what the relaxation does with the class.
-                    hs = range(most, -1, -1) if lift_all else range(most + 1)
-                    stack.append((t, e, r, cost, needs, lam, iter(hs)))
-        if not stack:
-            return best
-        t, e, r, cost, needs, lam, hs = stack[-1]
-        h = next(hs, None)
-        if h is None:
-            stack.pop()
-            continue
-        if h:
-            needs = list(needs)
-            for c in chains[t][:e]:
-                needs[c] -= h
-        node = (t, e - 1, r - h, cost + h * e, needs, lam)
+        # The closed-slot entry of needs is never positive, so its λ stays 0.
+        lam = _subgradient(needs, lam, is_root, solve)
+        if lam is None:
+            return
+        most = min(r, needs[chains[t][e - 1]])
+        # Try first what the relaxation does with the class.
+        for h in range(most, -1, -1) if lift_all else range(most + 1):
+            child = needs
+            if h:
+                child = list(needs)
+                for c in chains[t][:e]:
+                    child[c] -= h
+            yield t, e - 1, r - h, cost + h * e, child, lam
+
+    _depth_first(expand, (0, len(chains[0]), weights[0], 0, [*needs, 0], [1.0] * closed + [0.0]))
+    return best
 
 
 SCORE_FUNCTIONS = {

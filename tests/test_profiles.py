@@ -123,6 +123,16 @@ class TestParseProfile:
         with pytest.raises(ProfileParseError):
             parse_profile(text)
 
+    @pytest.mark.parametrize(
+        "ballot", ["a", "a > b > a", "a > a", "a > c", "b > a > c"]
+    )
+    def test_ballot_error_names_its_line(self, ballot):
+        # Short, long, duplicate and unknown entries share one message.
+        with pytest.raises(
+            ProfileParseError, match="line 3: ballot must rank every candidate exactly once"
+        ):
+            parse_profile(f"2\na b\n1: {ballot}\n")
+
     def test_million_voter_line_builds_no_per_voter_names(self):
         # The line is one counted run: a million name strings would take over
         # 55 MB, and a million pointers to the one shared ballot 8 MB.

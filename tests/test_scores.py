@@ -36,6 +36,7 @@ from votedist import (
 from votedist.scores import (
     SCORE_FUNCTIONS,
     _cover_types,
+    _depth_first,
     _greedy_cover,
     _greedy_lifts,
     _lift_classes,
@@ -50,6 +51,47 @@ def _stack_depth() -> int:
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
     return depth
+
+
+class TestDepthFirst:
+    TREE = {"r": ["a", "b"], "a": ["a1", "a2"], "b": ["b1"]}
+
+    def test_visits_in_pre_order_and_undoes_before_the_next_sibling(self):
+        log = []
+
+        def expand(node, is_root):
+            log.append((node, is_root))
+            for child in self.TREE.get(node, ()):
+                yield child
+            log.append(f"undo {node}")
+
+        _depth_first(expand, "r")
+        assert log == [
+            ("r", True),
+            ("a", False),
+            ("a1", False),
+            "undo a1",
+            ("a2", False),
+            "undo a2",
+            "undo a",
+            ("b", False),
+            ("b1", False),
+            "undo b1",
+            "undo b",
+            "undo r",
+        ]
+
+    def test_deep_chain_holds_no_frame_per_level(self):
+        def expand(node, is_root):
+            if node:
+                yield node - 1
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 50)
+        try:
+            _depth_first(expand, 100_000)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestMaximin:

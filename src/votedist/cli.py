@@ -110,11 +110,19 @@ def _cmd_rationalize(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     with open(args.graph, encoding="utf-8") as handle:
         g = parse_dimacs(handle.read(), args.budget)
-    r = restrict(g)
-    red = build_election(r)
+    if args.verify:
+        report = verify_reduction(g)
+        if not report.ok:
+            for line in report.lines():
+                print(line, file=sys.stderr)
+            return EXIT_INPUT
+        red, cover, checked = report.reduction, report.restricted_cover, report.lines()
+    else:
+        red = build_election(restrict(g))
+        cover, checked = vc_exact(red.instance.instance), []
+    r = red.instance
     padded = r.instance
     n, k = padded.vertex_count, padded.budget
-    cover = vc_exact(padded)
     removed = ", ".join(str(v + 1) for v in r.removed_isolated) or "none"
     comments = [
         f"vertex cover instance: {g.vertex_count} vertices, "
@@ -130,14 +138,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         + " ".join(f"y{j + 1}=({u + 1},{v + 1})" for j, (u, v) in enumerate(padded.edges)),
         f"voters: x1..x{n} for the padded vertices; t1..t{n - 3} tail "
         f"(pattern:a/b/c {k - 2} each, top:target {n - 3 * k + 3})",
+        *checked,
     ]
-    if args.verify:
-        report = verify_reduction(g)
-        if not report.ok:
-            for line in report.lines():
-                print(line, file=sys.stderr)
-            return EXIT_INPUT
-        comments += report.lines()
     print(serialize_profile(red.election, tuple(comments)), end="")
     return EXIT_OK
 

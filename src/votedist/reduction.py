@@ -25,7 +25,7 @@ that ``p`` wins under the replacement rule exactly on yes-instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .core import Candidate, Election, PreferenceOrder
@@ -343,9 +343,14 @@ def build_election(r: RestrictedVcInstance) -> ReductionElection:
 
 @dataclass(frozen=True)
 class ReductionReport:
-    """Outcome of replaying the reduction argument on one instance."""
+    """Outcome of replaying the reduction argument on one instance.
+
+    ``reduction`` is the election that was built and checked, so a caller
+    can print exactly that election without building it again.
+    """
 
     source: VcInstance
+    reduction: ReductionElection = field(repr=False)
     budget: int
     original_cover: int
     restricted_cover: int
@@ -389,7 +394,12 @@ def verify_reduction(g: VcInstance) -> ReductionReport:
 
     Exact scores for candidates other than the calibration one are never
     needed: budget-cutoff runs certify "above budget", and the calibration
-    score pins the winning value.
+    score pins the winning value.  Most cutoff runs are settled by the
+    candidate's largest deficit alone, before any cover classes are built.
+
+    The report carries the padded instance's election and its minimum cover
+    (``reduction`` and ``restricted_cover``), so ``reduce --verify`` prints
+    the checked election and builds nothing twice.
     """
     failures: list[str] = []
 
@@ -461,6 +471,7 @@ def verify_reduction(g: VcInstance) -> ReductionReport:
 
     return ReductionReport(
         source=g,
+        reduction=red,
         budget=k,
         original_cover=original_cover,
         restricted_cover=restricted_cover,

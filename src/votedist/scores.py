@@ -306,17 +306,19 @@ def _min_cover(
     ``⌈open needs / widest class⌉``, and only then, in searches without a
     budget and in feasibility searches, by the Lagrangian bound of the
     covering LP (``_cover_relax``).  A cutoff search (exact, with a budget)
-    keeps to the cheap bounds: the cutoffs ``verify_reduction`` asks for
-    certify "above k" on vertex-cover encodings, whose covering LP is as
-    weak as vertex cover's, and there the LP cost more than it pruned (about
-    1.7 times the time on seeded reduction elections).
+    keeps to the cheap bounds.  Its callers have already settled every
+    budget below the largest need (the root bound would return None for it
+    too), so the cutoff searches left are the ones ``verify_reduction``
+    runs on vertex-cover encodings whose largest deficit fits the budget,
+    such as the target's.  Their covering LP is as weak as vertex cover's,
+    and there the LP cost more than it pruned (about 1.7 times the time on
+    seeded reduction elections).
     """
     k = len(needs)
     needs = [max(0, nd) for nd in needs]
-    top = max(needs, default=0)
+    if max(needs, default=0) == 0:
+        return 0
     cap = sum(weights) if budget is None else budget
-    if top == 0 or top > cap:
-        return 0 if top == 0 else None
     classes = len(weights)
     cols = [[j for j in range(k) if mask >> j & 1] for mask in masks]
     # reach[t][j]: copies in classes t, t + 1, ... covering constraint j.
@@ -441,10 +443,12 @@ def replacement_score(e: Election, cand: CandidateRef, *, cutoff: int | None = N
     Rewriting any floor(n/2) + 1 ballots always works, so the score never
     exceeds that.
 
-    With ``cutoff`` set, returns None instead of any value above it; the
-    search then stops exploring past the cutoff, which is what makes
-    certifying "score exceeds k" cheap.  An election without voters has no
-    rewriting to do and no way to win, so the score is infinite.
+    With ``cutoff`` set, returns None instead of any value above it, which
+    is what makes certifying "score exceeds k" cheap.  The score is at least
+    the largest deficit, so a cutoff below it is settled before any cover
+    classes are built; otherwise the search stops exploring past the
+    cutoff.  An election without voters has no rewriting to do and no way
+    to win, so the score is infinite.
     """
     idx = e.candidate_index(cand)
     if e.n == 0:
@@ -454,6 +458,8 @@ def replacement_score(e: Election, cand: CandidateRef, *, cutoff: int | None = N
     if not opponents:
         return 0
     needs = [deficits[x] for x in opponents]
+    if cutoff is not None and max(needs) > cutoff:
+        return None
     weights, masks = _cover_types(e, idx, opponents)
     return _min_cover(weights, masks, needs, budget=cutoff)
 

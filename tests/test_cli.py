@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import collections
 import importlib
 import importlib.metadata
+import importlib.util
+import json
 import os
 import pathlib
 import shutil
@@ -13,7 +16,15 @@ import sys
 import pytest
 
 import votedist
-from votedist import ScoreKind, cli, separating_example, serialize_profile
+from votedist import (
+    Election,
+    ScoreKind,
+    cli,
+    parse_profile,
+    reduction,
+    separating_example,
+    serialize_profile,
+)
 from votedist.cli import main
 
 EXAMPLE = serialize_profile(separating_example())
@@ -21,6 +32,13 @@ SMALL = "3\na b c\n2: a > b > c\n1: b > c > a\n"
 CYCLE = "3\na b c\n1: a > b > c\n1: b > c > a\n1: c > a > b\n"
 TRIANGLE = "c triangle\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 REPO = pathlib.Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location(
+    "reduce_golden", REPO / "tools" / "reduce_golden.py"
+)
+reduce_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reduce_golden)
+GOLDEN = json.loads((REPO / "tests" / "reduce_golden.json").read_text(encoding="utf-8"))
 
 
 def _distribution_installed(name: str) -> bool:
@@ -196,6 +214,60 @@ class TestReduce:
         graph.write_text("p edge 2 1\ne 1 5\n", encoding="utf-8")
         assert main(["reduce", str(graph), "1"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestReduceBuildsOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch) -> collections.Counter:
+        """Calls of each reduction step, wherever the CLI or the check makes them."""
+        counts = collections.Counter()
+        for name in ("restrict", "build_election", "vc_exact"):
+
+            def spy(*args, _step=getattr(reduction, name), _name=name):
+                counts[_name] += 1
+                return _step(*args)
+
+            monkeypatch.setattr(reduction, name, spy)
+            monkeypatch.setattr(cli, name, spy)
+        return counts
+
+    def test_verify_builds_once_and_solves_each_cover_once(self, calls, profile, capsys):
+        assert main(["reduce", profile(TRIANGLE, "g.col"), "2", "--verify"]) == 0
+        # vc_exact runs on the source graph and on the padded one.
+        assert calls == {"restrict": 1, "build_election": 1, "vc_exact": 2}
+
+    def test_plain_reduce_runs_each_step_once(self, calls, profile, capsys):
+        assert main(["reduce", profile(TRIANGLE, "g.col"), "2"]) == 0
+        assert calls == {"restrict": 1, "build_election": 1, "vc_exact": 1}
+
+    def test_prints_the_checked_election(self, profile, capsys, monkeypatch):
+        reports = []
+        verify = cli.verify_reduction
+
+        def keep(g):
+            reports.append(verify(g))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "verify_reduction", keep)
+        assert main(["reduce", profile(TRIANGLE, "g.col"), "2", "--verify"]) == 0
+        printed = parse_profile(capsys.readouterr().out)
+        (report,) = reports
+        checked = report.reduction.election
+        # The text format keeps no voter names, so parsed voters are v1, v2, ...
+        assert printed == Election(checked.candidates, printed.voters, checked.profile)
+
+
+class TestReduceGolden:
+    """``reduce`` output pinned byte for byte, as ``tools/reduce_golden.py`` recorded it."""
+
+    def test_cases_are_the_tools_cases(self):
+        keys = ("name", "graph", "argv")
+        assert [{k: c[k] for k in keys} for c in GOLDEN] == reduce_golden.cases()
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
+    def test_output_is_byte_identical(self, case, tmp_path):
+        expected = {k: case[k] for k in ("code", "stdout", "stderr")}
+        assert reduce_golden.run(case, tmp_path) == expected
 
 
 class TestFixture:

@@ -261,6 +261,7 @@ class TestVerifyReduction:
         report = verify_reduction(K3)
         broken = ReductionReport(
             source=report.source,
+            reduction=report.reduction,
             budget=report.budget,
             original_cover=report.original_cover,
             restricted_cover=report.restricted_cover,

@@ -31,7 +31,9 @@ from votedist import (
     replacement_score,
     restrict,
     score_table,
+    scores,
     separating_example,
+    verify_reduction,
 )
 from votedist.scores import (
     SCORE_FUNCTIONS,
@@ -44,6 +46,11 @@ from votedist.scores import (
 )
 
 TESTS = pathlib.Path(__file__).parent
+GRAPHS = {
+    "K3": "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n",
+    "C5": "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n",
+    "P4": "p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n",
+}
 
 
 def _stack_depth() -> int:
@@ -170,6 +177,41 @@ class TestReplacementScore:
         e = Election.from_names(["a", "b"], [])
         assert replacement_score(e, "a") == INFINITY
         assert replacement_score(e, "a", cutoff=5) is None
+
+    def test_cutoff_gives_the_score_or_none(self):
+        rng = random.Random(16)
+        cases = [random_election(rng, rng.randint(1, 5), rng.randint(1, 12)) for _ in range(40)]
+        cases += [
+            build_election(restrict(parse_dimacs(text, budget))).election
+            for text in GRAPHS.values()
+            for budget in (1, 2, 3)
+        ]
+        for e in cases:
+            for x in range(e.m):
+                score = replacement_score(e, x)
+                for c in range(score + 2):
+                    expected = score if score <= c else None
+                    assert replacement_score(e, x, cutoff=c) == expected, (e, x, c)
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_verify_builds_classes_only_where_the_largest_deficit_fits(
+        self, graph, budget, monkeypatch
+    ):
+        built = []
+        cover_types = scores._cover_types
+
+        def spy(e, cand, opponents):
+            built.append(cand)
+            return cover_types(e, cand, opponents)
+
+        monkeypatch.setattr(scores, "_cover_types", spy)
+        report = verify_reduction(parse_dimacs(GRAPHS[graph], budget))
+        assert report.ok
+        e = report.reduction.election
+        fits = [x for x in range(e.m) if max(replacement_deficits(e.tally, x)) <= report.budget]
+        assert sorted(built) == fits
+        assert {e.candidate_names[x] for x in built} == {"p", "z"}
 
     def test_deficits(self, example_election):
         t = pairwise_tally(example_election)

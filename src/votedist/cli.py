@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Callable
 
 from .core import Election
 from .distances import INFINITY, ElectionMetric, Value, election_distance
@@ -17,30 +16,12 @@ from .fixtures import FIXTURES
 from .oracle import InconclusiveSearch, dr_winners_oracle
 from .profiles import parse_profile, serialize_profile
 from .reduction import build_election, parse_dimacs, restrict, vc_exact, verify_reduction
-from .rules import (
-    WinnerSet,
-    condorcet_rule,
-    dodgson_winners,
-    maximin_winners,
-    plurality_winners,
-    replacement_winners,
-    young_winners,
-)
+from .rules import RULES
 from .scores import SCORE_FUNCTIONS, ScoreKind, require_voters, score_table
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INCONCLUSIVE = 2
-
-_RULES: dict[str, Callable[[Election], WinnerSet]] = {
-    "plurality": plurality_winners,
-    "condorcet": condorcet_rule,
-    "dodgson": dodgson_winners,
-    "young": young_winners,
-    "maximin": maximin_winners,
-    "replacement": replacement_winners,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage errors exit with the input-error code."""
@@ -65,7 +46,7 @@ def _format_value(value: Value) -> str:
 
 
 def _cmd_winners(args: argparse.Namespace) -> int:
-    result = _RULES[args.rule](_load_profile(args.file))
+    result = RULES[args.rule](_load_profile(args.file))
     for cand in result.winners:
         print(cand.name)
     return EXIT_OK
@@ -159,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     winners = sub.add_parser("winners", help="run a voting rule on a profile")
-    winners.add_argument("rule", choices=sorted(_RULES))
+    winners.add_argument("rule", choices=sorted(RULES))
     winners.add_argument("file")
     winners.set_defaults(handler=_cmd_winners)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -221,6 +220,19 @@ class _CountedRuns(_LazyTuple):
         return f"_CountedRuns({self._runs!r})"
 
 
+def _weighted(profile: Sequence[PreferenceOrder]) -> Iterable[tuple[PreferenceOrder, int]]:
+    """The profile as ``(ballot, count)`` pairs in voter order.
+
+    A parsed profile gives its counted runs, one pair per line; any other
+    sequence gives ``(ballot, 1)`` per voter.  Every reader that may treat
+    equal ballots alike (the tally, the ballot types, plurality,
+    serialization) goes through here instead of iterating the voters.
+    """
+    if isinstance(profile, _CountedRuns):
+        return profile._runs
+    return zip(profile, itertools.repeat(1))
+
+
 @dataclass(frozen=True)
 class Election:
     """A roster, a sequence of distinct voter names, and one ballot per voter.
@@ -291,22 +303,17 @@ class Election:
         candidates: tuple[Candidate, ...],
         voters: tuple[str, ...] | _PositionalNames,
         profile: tuple[PreferenceOrder, ...] | _CountedRuns,
-        ballot_types: tuple[tuple[tuple[int, ...], int], ...] | None = None,
     ) -> "Election":
         """Build an election whose invariants the caller has established.
 
         The arguments must be tuples that the public constructor would
         accept (``voters`` may also be positional names and ``profile``
-        counted runs); none of its checks run.  ``ballot_types``, when given,
-        must equal what the property would compute and seeds its cache.  The
-        object still goes through ``__init__``, so anything wrapping it sees
-        every election built.
+        counted runs); none of its checks run.  The object still goes
+        through ``__init__``, so anything wrapping it sees every election
+        built.
         """
         e = cls.__new__(cls)
-        state = vars(e)
-        state["_derived"] = True
-        if ballot_types is not None:
-            state["ballot_types"] = ballot_types
+        vars(e)["_derived"] = True
         e.__init__(candidates, voters, profile)
         return e
 
@@ -330,9 +337,13 @@ class Election:
     def ballot_types(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Distinct rankings with multiplicities, in sorted order.
 
-        ``parse_profile`` seeds this from its counted lines.
+        Counted once, on first read, from the profile's weighted ballots, so
+        a parsed profile costs one step per line however large its counts.
         """
-        return tuple(sorted(Counter(ballot.ranking for ballot in self.profile).items()))
+        counts: dict[tuple[int, ...], int] = {}
+        for ballot, w in _weighted(self.profile):
+            counts[ballot.ranking] = counts.get(ballot.ranking, 0) + w
+        return tuple(sorted(counts.items()))
 
     @cached_property
     def tally(self) -> "PairwiseTally":
@@ -452,20 +463,14 @@ class PairwiseTally:
 def pairwise_tally(e: Election) -> PairwiseTally:
     """Count, for every ordered candidate pair, the voters preferring the first.
 
-    Identical ballots contribute identically, so the count runs per ballot
-    type: over ``e.ballot_types`` when they are already known (a parsed
-    profile has them from its lines), else over a plain recount, which for
-    the tiny elections the oracle builds is cheaper than the property.
+    The count runs over the profile's weighted ballots: one step per counted
+    line of a parsed profile, one per voter otherwise.  Each ranking adds
+    its weight to the winner's row at every candidate below it.
     """
     m = e.m
     counts = [[0] * m for _ in range(m)]
-    weights = vars(e).get("ballot_types")
-    if weights is None:
-        recount: dict[tuple[int, ...], int] = {}
-        for ballot in e.profile:
-            recount[ballot.ranking] = recount.get(ballot.ranking, 0) + 1
-        weights = recount.items()
-    for ranking, w in weights:
+    for ballot, w in _weighted(e.profile):
+        ranking = ballot.ranking
         for i, winner in enumerate(ranking):
             row = counts[winner]
             for loser in ranking[i + 1:]:

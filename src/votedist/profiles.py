@@ -24,9 +24,10 @@ as those counted runs, one ``(ballot, count)`` per line: the parsed
 election's ``profile`` is a read-only sequence over the runs that behaves
 like the flat tuple of ballots (it compares and hashes equal to it) and
 builds that tuple only when iterated, so a line costs the same however large
-its count.  The lines are also counted once into the election's ballot types
-(lines with the same ranking merge), so the pairwise tally and plurality run
-over those types, not over every voter, and serializing writes the runs.
+its count.  The runs are the one table the parser keeps: the pairwise tally,
+the ballot types (lines with the same ranking merged, counted on first read),
+plurality and serialization all read them through ``core._weighted``, one
+step per line, never voter by voter.
 
 All checking happens here, line by line; the election is then built through
 the trusted constructor, since every fact its per-voter passes would check
@@ -36,8 +37,9 @@ already holds by construction.
 from __future__ import annotations
 
 import itertools
+import operator
 
-from .core import Candidate, Election, PreferenceOrder, _CountedRuns, _PositionalNames
+from .core import Candidate, Election, PreferenceOrder, _CountedRuns, _PositionalNames, _weighted
 
 
 class ProfileParseError(ValueError):
@@ -76,7 +78,6 @@ def parse_profile(text: str) -> Election:
     index = {name: i for i, name in enumerate(names)}
 
     runs: list[tuple[PreferenceOrder, int]] = []
-    types: dict[tuple[int, ...], int] = {}
     for lineno, line in lines[2:]:
         head, sep, tail = line.partition(":")
         if not sep:
@@ -96,15 +97,9 @@ def parse_profile(text: str) -> Election:
                 f"line {lineno}: ballot must rank every candidate exactly once"
             ) from None
         runs.append((order, count))
-        types[order.ranking] = types.get(order.ranking, 0) + count
 
     profile = _CountedRuns(runs)
-    return Election._trusted(
-        candidates,
-        _PositionalNames(len(profile)),
-        profile,
-        tuple(sorted(types.items())),
-    )
+    return Election._trusted(candidates, _PositionalNames(len(profile)), profile)
 
 
 def serialize_profile(e: Election, comments: tuple[str, ...] = ()) -> str:
@@ -117,11 +112,7 @@ def serialize_profile(e: Election, comments: tuple[str, ...] = ()) -> str:
     out = [f"# {comment}" for comment in comments]
     out.append(str(e.m))
     out.append(" ".join(e.candidate_names))
-    if isinstance(e.profile, _CountedRuns):
-        runs = e.profile.runs()
-    else:
-        runs = [(ballot, sum(1 for _ in group)) for ballot, group in itertools.groupby(e.profile)]
-    for ballot, count in runs:
+    for ballot, group in itertools.groupby(_weighted(e.profile), key=operator.itemgetter(0)):
         row = " > ".join(e.candidate_names[i] for i in ballot.ranking)
-        out.append(f"{count}: {row}")
+        out.append(f"{sum(map(operator.itemgetter(1), group))}: {row}")
     return "\n".join(out) + "\n"

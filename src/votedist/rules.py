@@ -1,10 +1,15 @@
-"""Winner functions: plurality, Condorcet, and the four score minimizers."""
+"""Winner functions: plurality, Condorcet, and the four score minimizers.
+
+``RULES`` maps each rule name to its winner function; the CLI's ``winners``
+command offers exactly its keys.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .core import Candidate, Election, condorcet_winner
+from .core import Candidate, Election, _weighted, condorcet_winner
 from .distances import is_finite
 from .scores import ScoreKind, ScoreTable, score_table
 
@@ -34,8 +39,8 @@ def plurality_winners(e: Election) -> WinnerSet:
     an extension of convenience, not part of the classical rule.
     """
     counts = [0] * e.m
-    for ranking, weight in e.ballot_types:
-        counts[ranking[0]] += weight
+    for ballot, weight in _weighted(e.profile):
+        counts[ballot.ranking[0]] += weight
     high = max(counts)
     winners = tuple(e.candidates[i] for i in range(e.m) if counts[i] == high)
     return WinnerSet("plurality", winners)
@@ -81,3 +86,13 @@ def replacement_winners(e: Election) -> WinnerSet:
 def dodgson_winners(e: Election) -> WinnerSet:
     """Candidates needing the fewest adjacent swaps to win outright."""
     return _score_rule(e, "dodgson", ScoreKind.DODGSON)
+
+
+RULES: dict[str, Callable[[Election], WinnerSet]] = {
+    "plurality": plurality_winners,
+    "condorcet": condorcet_rule,
+    "dodgson": dodgson_winners,
+    "young": young_winners,
+    "maximin": maximin_winners,
+    "replacement": replacement_winners,
+}

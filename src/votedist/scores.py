@@ -473,6 +473,12 @@ def deletion_score(e: Election, cand: CandidateRef) -> Value:
     cover (a smaller cover pads to size k with arbitrary voters), so the
     score is the first feasible k.  If even keeping a single voter fails for
     every choice, no removal works and the score is infinite.
+
+    No cover of size k meets a need above k, so the scan starts at the
+    least k with ``top - (n - k - 1) // 2 <= k``, where ``top`` is the
+    largest count against ``cand``; for k < n that is k >= 2 * top - n + 1.
+    Every later k passes the same test, as the threshold term drops by at
+    most one per step, so each k scanned goes to the cover search.
     """
     idx = e.candidate_index(cand)
     n = e.n
@@ -481,11 +487,10 @@ def deletion_score(e: Election, cand: CandidateRef) -> Value:
     opponents = [x for x in range(e.m) if x != idx]
     against = [e.tally.counts[x][idx] for x in opponents]
     weights, masks = _cover_types(e, idx, opponents)
-    for removed in range(n):
+    top = max(against, default=0)
+    for removed in range(max(0, 2 * top - n + 1), n):
         kept = n - removed
         needs = [a - (kept - 1) // 2 for a in against]
-        if max(needs, default=0) > removed:
-            continue
         if _min_cover(weights, masks, needs, budget=removed, feasible=True) is not None:
             return removed
     return INFINITY

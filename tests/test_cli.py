@@ -22,6 +22,7 @@ from votedist import (
     cli,
     parse_profile,
     reduction,
+    rules,
     separating_example,
     serialize_profile,
 )
@@ -74,6 +75,13 @@ class TestWinners:
         assert capsys.readouterr().out == "b\n"
         assert main(["winners", "replacement", path]) == 0
         assert capsys.readouterr().out == "a\n"
+
+    def test_rule_choices_are_the_rule_table(self, capsys):
+        assert main(["winners", "-h"]) == 0
+        assert "{" + ",".join(sorted(rules.RULES)) + "}" in capsys.readouterr().out
+        assert sorted(rules.RULES) == [
+            "condorcet", "dodgson", "maximin", "plurality", "replacement", "young",
+        ]
 
     def test_unknown_rule_is_input_error(self, profile, capsys):
         assert main(["winners", "borda", profile(SMALL)]) == 1

@@ -343,9 +343,12 @@ class TestPairwiseTally:
         for m, n in shapes:
             public = random_election(rng, m, n)
             parsed = parse_profile(serialize_profile(public))
-            assert "ballot_types" in vars(parsed) and "ballot_types" not in vars(public)
-            self.assert_counts_every_voter(public)  # recounts the ballots
-            self.assert_counts_every_voter(parsed)  # runs over the seeded types
+            pairwise_tally(parsed)
+            # The tally read the counted runs: it neither flattened the
+            # profile nor built the ballot types.
+            assert parsed.profile._flat is None and "ballot_types" not in vars(parsed)
+            self.assert_counts_every_voter(public)  # one step per voter
+            self.assert_counts_every_voter(parsed)  # one step per counted line
 
     def test_matches_direct_recount_on_a_reduction_election(self):
         c5 = "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n"

@@ -19,6 +19,7 @@ from votedist import (
     election_distance,
     pairwise_tally,
     parse_profile,
+    plurality_winners,
     serialize_profile,
     separating_example,
 )
@@ -73,10 +74,19 @@ class TestParseProfile:
         assert e == public
         assert hash(e) == hash(public)
         assert tuple(e.voters) == public.voters == tuple(f"v{k}" for k in range(1, e.n + 1))
-        # public has no ballot types yet, so this tally recounts every ballot
+        # public's profile is a plain tuple, so this tally takes one step per voter
         assert e.tally == pairwise_tally(public)
         assert e.ballot_types == tuple(sorted(Counter(b.ranking for b in e.profile).items()))
         assert e.profile == public.profile and hash(e.profile) == hash(tuple(e.profile))
+        assert serialize_profile(e) == serialize_profile(public)
+        assert plurality_winners(e) == plurality_winners(public)
+        # A fresh parse serves every weighted reader from its counted runs.
+        fresh = parse_profile(text)
+        pairwise_tally(fresh)
+        assert fresh.ballot_types == e.ballot_types
+        assert plurality_winners(fresh) == plurality_winners(public)
+        assert serialize_profile(fresh) == serialize_profile(public)
+        assert fresh.profile._flat is None
 
     @settings(max_examples=100, deadline=None)
     @given(profile_texts())

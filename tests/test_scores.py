@@ -298,6 +298,49 @@ class TestDeletionScore:
         e = Election.from_names(["a", "b"], [])
         assert deletion_score(e, "a") == INFINITY
 
+    @staticmethod
+    def budget_scan(e: Election, idx: int) -> tuple[list, object]:
+        """Reference scan: try every budget from 0, skip those whose largest
+        need exceeds the budget, and stop at the first feasible one.  Returns
+        the (needs, budget) pairs passed to the cover search, and the score."""
+        opponents = [x for x in range(e.m) if x != idx]
+        against = [e.tally.counts[x][idx] for x in opponents]
+        weights, masks = _cover_types(e, idx, opponents)
+        calls = []
+        for removed in range(e.n):
+            needs = [a - (e.n - removed - 1) // 2 for a in against]
+            if max(needs, default=0) > removed:
+                continue
+            calls.append((needs, removed))
+            if _min_cover(weights, masks, needs, budget=removed, feasible=True) is not None:
+                return calls, removed
+        return calls, INFINITY
+
+    def test_scan_starts_at_the_first_admissible_budget(self, monkeypatch):
+        rng = random.Random(17)
+        elections = [random_election(rng, m, rng.randint(0, 25)) for m in range(1, 8)]
+        elections += [
+            random_election(rng, rng.randint(1, 7), rng.randint(1, 25)) for _ in range(12)
+        ]
+        # The unsalvageable a: every budget from the first admissible one is refuted.
+        elections.append(parse_profile("3\na b c\n90: b > a > c\n90: c > a > b\n30: b > c > a\n"))
+        expected = [self.budget_scan(e, c) for e in elections for c in range(e.m)]
+        calls = []
+
+        def spy(weights, masks, needs, **kwargs):
+            calls.append((list(needs), kwargs["budget"]))
+            return _min_cover(weights, masks, needs, **kwargs)
+
+        monkeypatch.setattr(scores, "_min_cover", spy)
+        observed = []
+        for e in elections:
+            for c in range(e.m):
+                calls.clear()
+                score = deletion_score(e, c)
+                observed.append((list(calls), score))
+        assert observed == expected
+        assert expected[-3][1] == INFINITY and len(expected[-3][0]) > 100
+
 
 class TestDodgsonScore:
     def test_example_table(self, example_election):

@@ -9,7 +9,6 @@ vote identically", so profiles are never reduced to anonymous multisets.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 from collections.abc import Iterable, Sequence
@@ -89,78 +88,65 @@ class PreferenceOrder:
 
 
 class _LazyTuple(Sequence):
-    """A read-only sequence that stands for a tuple it builds only when iterated.
+    """A read-only sequence that stands for a tuple it builds on first read.
 
-    It has the tuple's length, indexing (slices give tuples), iteration,
-    membership, equality and hash, and ``+`` with a tuple.  A subclass stores
-    something smaller than the tuple, sets ``_flat`` to None, and supplies
-    ``__len__``, ``_item(k)`` for ``0 <= k < len``, ``_build()`` for the
-    whole tuple, and ``__reduce__``.  The first iteration keeps the tuple it
-    builds: the oracle iterates the voters and ballots of one small parsed
-    election hundreds of thousands of times, and set() over five names
-    formatted anew takes 2.1 us against 0.3 us over a tuple (Python 3.11).
+    A subclass stores something smaller than the tuple, sets ``_n`` to its
+    length and ``_flat`` to None, and supplies ``_build()`` for the whole
+    tuple and ``__reduce__``.  ``len`` reads ``_n``; every other read
+    (iteration, indexing and slicing, membership, equality, hash, ``+``)
+    builds the tuple once, keeps it, and is served from it.  A parsed
+    profile that is only tallied is therefore never flattened, while the
+    oracle, which iterates the voters and ballots of one small parsed
+    election hundreds of thousands of times, pays for the tuple once: set()
+    over five names formatted anew takes 2.1 us against 0.3 us over a tuple
+    (Python 3.11).
     """
 
-    __slots__ = ("_flat",)
+    __slots__ = ("_flat", "_n")
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self._item, range(*i.indices(len(self)))))
-        k = operator.index(i)
-        n = len(self)
-        if k < 0:
-            k += n
-        if not 0 <= k < n:
-            raise IndexError(f"{type(self).__name__} index out of range")
-        return self._item(k)
+    def __len__(self) -> int:
+        return self._n
 
-    def __iter__(self):
+    def _tuple(self) -> tuple:
         if self._flat is None:
             self._flat = self._build()
-        return iter(self._flat)
+        return self._flat
+
+    def __getitem__(self, i):
+        return self._tuple()[i]
+
+    def __iter__(self):
+        return iter(self._tuple())
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (tuple, _LazyTuple)):
-            return len(other) == len(self) and all(map(operator.eq, self, other))
-        return NotImplemented
+        if isinstance(other, _LazyTuple):
+            other = other._tuple()
+        return self._tuple() == other if isinstance(other, tuple) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        return hash(self._tuple())
 
     def __add__(self, other):
         if isinstance(other, tuple):
-            return tuple(self) + other
+            return self._tuple() + other
         return NotImplemented
 
 
 class _PositionalNames(_LazyTuple):
-    """The voter names ``v1..vn``, formatted when read.
+    """The voter names ``v1..vn``, formatted on first read.
 
-    Stores only ``n`` until the names are iterated, so a parsed
-    million-voter profile that is only tallied holds no million name strings.
+    Stores only ``n`` until then, so a parsed million-voter profile that is
+    only tallied holds no million name strings.
     """
 
-    __slots__ = ("_n",)
+    __slots__ = ()
 
     def __init__(self, n: int) -> None:
         self._n = n
         self._flat = None
 
-    def __len__(self) -> int:
-        return self._n
-
-    def _item(self, k: int) -> str:
-        return f"v{k + 1}"
-
     def _build(self) -> tuple[str, ...]:
         return tuple([f"v{k}" for k in range(1, self._n + 1)])
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is _PositionalNames:
-            return self._n == other._n
-        return super().__eq__(other)
-
-    __hash__ = _LazyTuple.__hash__
 
     def __reduce__(self):
         return (_PositionalNames, (self._n,))
@@ -173,45 +159,22 @@ class _CountedRuns(_LazyTuple):
     """A profile stored as ``(ballot, count)`` runs, one per counted line.
 
     Stands for the tuple in which each run's ballot object appears ``count``
-    times in a row, while storing only the runs and their cumulative ends,
-    so a parsed million-voter profile costs O(lines) until it is iterated.
-    Runs may split or repeat a ranking; only the flat sequence counts, so
-    split runs equal merged ones.
+    times in a row, while storing only the runs and their total, so a
+    parsed million-voter profile costs O(lines) until it is read as a
+    sequence.  Runs may split or repeat a ranking; only the flat sequence
+    counts, so split runs equal merged ones.
     """
 
-    __slots__ = ("_runs", "_ends")
+    __slots__ = ("_runs",)
 
     def __init__(self, runs: Iterable[tuple[PreferenceOrder, int]]) -> None:
         self._runs = tuple(runs)
-        self._ends = tuple(itertools.accumulate(map(operator.itemgetter(1), self._runs)))
+        self._n = sum(map(operator.itemgetter(1), self._runs))
         self._flat = None
-
-    def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def _item(self, k: int) -> PreferenceOrder:
-        return self._runs[bisect.bisect_right(self._ends, k)][0]
 
     def _build(self) -> tuple[PreferenceOrder, ...]:
         copies = itertools.starmap(itertools.repeat, self._runs)
         return tuple(itertools.chain.from_iterable(copies))
-
-    def runs(self) -> list[tuple[PreferenceOrder, int]]:
-        """The runs with adjacent equal ballots merged: one per maximal block."""
-        merged: list[tuple[PreferenceOrder, int]] = []
-        for ballot, count in self._runs:
-            if merged and merged[-1][0] == ballot:
-                merged[-1] = (merged[-1][0], merged[-1][1] + count)
-            else:
-                merged.append((ballot, count))
-        return merged
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is _CountedRuns:
-            return self.runs() == other.runs()
-        return super().__eq__(other)
-
-    __hash__ = _LazyTuple.__hash__
 
     def __reduce__(self):
         return (_CountedRuns, (self._runs,))

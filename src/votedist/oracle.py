@@ -45,6 +45,7 @@ from .distances import (
     ElectionMetric,
     Value,
     _step_cost,
+    discrete_distance,
     election_distance,
     swap_distance,
 )
@@ -63,9 +64,11 @@ def _rankings(m: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _swap_table(m: int) -> tuple[tuple[int, ...], ...]:
+def _ballot_table(m: int, metric: ElectionMetric) -> tuple[tuple[Value, ...], ...]:
+    """Ballot distances between rankings, by index into ``_rankings(m)``."""
+    dist = swap_distance if metric is ElectionMetric.SWAP else discrete_distance
     orders = [PreferenceOrder(r) for r in _rankings(m)]
-    return tuple(tuple(swap_distance(a, b) for b in orders) for a in orders)
+    return tuple(tuple(dist(a, b) for b in orders) for a in orders)
 
 
 @lru_cache(maxsize=None)
@@ -95,13 +98,7 @@ def _profile_minima(e: Election, metric: ElectionMetric, limit: int) -> list[Val
         )
     index = {r: i for i, r in enumerate(rankings)}
     original = [index[ballot.ranking] for ballot in e.profile]
-    if metric is ElectionMetric.SWAP:
-        table = _swap_table(m)
-    else:
-        table = tuple(
-            tuple(0 if a == b else 1 for b in range(len(rankings)))
-            for a in range(len(rankings))
-        )
+    table = _ballot_table(m, metric)
     minima: list[Value] = [INFINITY] * m
     for ids in itertools.product(range(len(rankings)), repeat=n):
         winner = _profile_winner(m, ids)
@@ -137,6 +134,10 @@ def _edit_minimum(
     rivals = [x for x in range(m) if x != cand]
     beaten = [[x for x in rivals if b.prefers(cand, x)] for b in pool]
     slots = range(len(pool))
+    # Appended voters take names no voter of ``e`` has, so a dropped voter's
+    # name never comes back with another ballot.
+    taken = set(e.voters)
+    fresh = [v for v in (f"v{k}" for k in range(1, n + budget + 1)) if v not in taken][:budget]
     best: Value = INFINITY
     witness: Election | None = None
     for r in range(n + 1):
@@ -155,7 +156,7 @@ def _edit_minimum(
                             gain[x] += 1
                     if not all(2 * (support[x] + gain[x]) > size for x in rivals):
                         continue
-                    modified = trimmed.add_voters([pool[i] for i in chosen])
+                    modified = trimmed.add_voters([pool[i] for i in chosen], fresh[:extra])
                     dist = election_distance(metric, e, modified)
                     if dist < best:
                         best, witness = dist, modified

@@ -14,17 +14,18 @@ positive multiplier.  Voter identities are positional: parsing assigns
 ``v1..vn`` in line order, expanding multiplicities, so serializing and
 re-parsing reproduces an election exactly when its voters already carry the
 positional names.  Those names are formatted on demand: the parsed election's
-``voters`` stores only ``n`` until it is iterated and behaves like the tuple
-``("v1", ..., "vn")`` (it compares and hashes equal to it), so a
-million-voter profile that is only tallied builds no million name strings.
+``voters`` stores only ``n`` and behaves like the tuple ``("v1", ..., "vn")``,
+which it builds on the first read other than ``len`` and serves every later
+read from, so a million-voter profile that is only tallied builds no million
+name strings.
 
 Each counted line becomes one validated ``PreferenceOrder`` that all of its
 voters share; the order is frozen, so sharing is safe.  The profile is stored
 as those counted runs, one ``(ballot, count)`` per line: the parsed
 election's ``profile`` is a read-only sequence over the runs that behaves
-like the flat tuple of ballots (it compares and hashes equal to it) and
-builds that tuple only when iterated, so a line costs the same however large
-its count.  The runs are the one table the parser keeps: the pairwise tally,
+like the flat tuple of ballots and builds that tuple, in the same way, only
+when read other than by ``len``, so a line costs the same however large its
+count.  The runs are the one table the parser keeps: the pairwise tally,
 the ballot types (lines with the same ranking merged, counted on first read),
 plurality and serialization all read them through ``core._weighted``, one
 step per line, never voter by voter.

@@ -107,16 +107,13 @@ def replacement_deficits(tally: PairwiseTally, cand: int) -> tuple[int, ...]:
     Entry x is the least number of voters currently preferring x who must
     switch sides for ``cand`` to beat x outright; it is zero exactly when
     ``cand`` already beats x strictly, and a tie leaves a deficit of one.
+    Flipping f of the ``a`` voters against ``cand`` wins when a - f is at
+    most ``(n - 1) // 2``, so the entry is ``a - (n - 1) // 2`` when positive.
     """
-    out = []
-    for x in range(tally.m):
-        if x == cand:
-            out.append(0)
-        else:
-            against = tally.counts[x][cand]
-            backing = tally.counts[cand][x]
-            out.append(max(0, (against - backing + 2) // 2))
-    return tuple(out)
+    half = (tally.n - 1) // 2
+    return tuple(
+        0 if x == cand else max(0, row[cand] - half) for x, row in enumerate(tally.counts)
+    )
 
 
 def _cover_types(e: Election, cand: int, opponents: list[int]) -> tuple[list[int], list[int]]:
@@ -453,11 +450,11 @@ def replacement_score(e: Election, cand: CandidateRef, *, cutoff: int | None = N
     idx = e.candidate_index(cand)
     if e.n == 0:
         return None if cutoff is not None else INFINITY
-    deficits = replacement_deficits(e.tally, idx)
-    opponents = [x for x in range(e.m) if deficits[x] > 0]
+    counts, half = e.tally.counts, (e.n - 1) // 2
+    opponents = [x for x in range(e.m) if counts[x][idx] > half]
     if not opponents:
         return 0
-    needs = [deficits[x] for x in opponents]
+    needs = [counts[x][idx] - half for x in opponents]
     if cutoff is not None and max(needs) > cutoff:
         return None
     weights, masks = _cover_types(e, idx, opponents)

@@ -268,7 +268,8 @@ class TestCountedRuns:
         split = _CountedRuns([(AB, 1), (PreferenceOrder((0, 1)), 2), (BA, 1), (BA, 1)])
         assert split == merged and merged == split
         assert hash(split) == hash(merged)
-        assert split.runs() == merged.runs() == [(AB, 3), (BA, 2)]
+        assert len(split) == len(merged) == 5
+        assert tuple(split) == tuple(merged) == (AB, AB, AB, BA, BA)
         assert merged != _CountedRuns([(AB, 2), (BA, 3)])
         assert merged != _CountedRuns([(BA, 2), (AB, 3)])
 
@@ -294,9 +295,15 @@ class TestCountedRuns:
         runs = _CountedRuns([(AB, 50), (BA, 7)])
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             again = pickle.loads(pickle.dumps(runs, protocol))
-            assert isinstance(again, _CountedRuns) and again == runs
-            assert again.runs() == [(AB, 50), (BA, 7)]
-            assert again._flat is None
+            assert isinstance(again, _CountedRuns)
+            assert again._runs == ((AB, 50), (BA, 7)) and again._flat is None
+            assert again == runs
+
+    def test_len_builds_nothing(self):
+        e = parse_profile("2\na b\n4: a > b\n3: b > a\n")
+        assert len(e.profile) == len(e.voters) == e.n == 7
+        assert e.profile._flat is None and e.voters._flat is None
+        assert len(_CountedRuns([])) == len(_PositionalNames(0)) == 0
 
     def test_voters_of_one_line_share_one_ballot(self):
         e = parse_profile("2\na b\n4: a > b\n3: b > a\n")

@@ -289,6 +289,26 @@ class TestEditArithmetic:
                 assert condorcet_winner(witness).index == c
                 assert election_distance(metric, e, witness) == value
 
+    def test_appended_voters_never_reuse_a_name(self, monkeypatch):
+        # A voter named in both elections casts the same ballot in both: a
+        # dropped voter's name never comes back with an appended ballot.
+        evaluated = []
+
+        def spy(metric, e1, e2):
+            evaluated.append((e1, e2))
+            return election_distance(metric, e1, e2)
+
+        monkeypatch.setattr(oracle, "election_distance", spy)
+        rng = random.Random(3)
+        for _ in range(8):
+            e = random_election(rng, 3, rng.randint(1, 4))
+            for metric in (ElectionMetric.INSERTION, ElectionMetric.DELETION):
+                dr_winners_oracle(e, metric)
+        assert evaluated
+        for e1, e2 in evaluated:
+            shared = e1.ballot_of.keys() & e2.ballot_of.keys()
+            assert all(e1.ballot_of[v] == e2.ballot_of[v] for v in shared)
+
     def test_disagreeing_confirmation_is_an_error(self, monkeypatch):
         monkeypatch.setattr(oracle, "condorcet_winner", lambda election: None)
         e = Election.from_names(["a", "b"], [["a", "b"], ["b", "a"]])

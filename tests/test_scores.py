@@ -224,6 +224,21 @@ class TestReplacementScore:
                 if x != c:
                     assert (deficits[x] == 0) == (2 * t.counts[c][x] > t.n)
 
+    def test_deficits_match_the_margin_formula(self):
+        # The deficit read as a count above (n - 1) // 2 equals the one read
+        # from the margin, since the two cells of a pair sum to n, n = 0 too.
+        rng = random.Random(11)
+        shapes = [(1, 0), (1, 3), (3, 0)] + [
+            (rng.randint(1, 5), rng.randint(0, 9)) for _ in range(40)
+        ]
+        for m, n in shapes:
+            t = pairwise_tally(random_election(rng, m, n))
+            for c in range(m):
+                assert replacement_deficits(t, c) == tuple(
+                    0 if x == c else max(0, (t.counts[x][c] - t.counts[c][x] + 2) // 2)
+                    for x in range(m)
+                )
+
 
 class TestCoverTypes:
     def test_one_class_per_mask_widest_first(self):

@@ -137,7 +137,7 @@ def _edit_minimum(
     # Appended voters take names no voter of ``e`` has, so a dropped voter's
     # name never comes back with another ballot.
     taken = set(e.voters)
-    fresh = [v for v in (f"v{k}" for k in range(1, n + budget + 1)) if v not in taken][:budget]
+    fresh = tuple(v for v in (f"v{k}" for k in range(1, n + budget + 1)) if v not in taken)[:budget]
     best: Value = INFINITY
     witness: Election | None = None
     for r in range(n + 1):
@@ -156,7 +156,13 @@ def _edit_minimum(
                             gain[x] += 1
                     if not all(2 * (support[x] + gain[x]) > size for x in rivals):
                         continue
-                    modified = trimmed.add_voters([pool[i] for i in chosen], fresh[:extra])
+                    # The names are fresh and the pool ballots whole
+                    # rankings, so the public constructor's checks would pass.
+                    modified = Election._trusted(
+                        e.candidates,
+                        trimmed.voters + fresh[:extra],
+                        trimmed.profile + tuple(pool[i] for i in chosen),
+                    )
                     dist = election_distance(metric, e, modified)
                     if dist < best:
                         best, witness = dist, modified

@@ -112,66 +112,47 @@ def parse_dimacs(text: str, budget: int) -> VcInstance:
 def vc_exact(g: VcInstance) -> int:
     """Size of a minimum vertex cover, by branch and bound.
 
-    Branches on a maximum-degree vertex: either it joins the cover, or all
-    of its neighbours must.  The search (``_depth_first``) edits one
-    adjacency structure in place and undoes each branch on the way back, so
-    neither its depth nor its memory grows by a graph copy per level.
-    Intended for the small instances the reduction tests use; the search is
+    The graph is one int of neighbours per vertex, and a search node is
+    ``(acc, alive)``: the cover size so far and the int of vertices not yet
+    removed.  A node first makes one pass over the vertices in index order;
+    a live vertex with exactly one live neighbour has that neighbour join
+    the cover, with no branch, because some minimum cover contains it.
+    Then it branches on the lowest-index vertex of largest live degree:
+    either that vertex joins the cover, or all of its neighbours do.  Each
+    child is a new int, so nothing is undone on the way back.  Intended
+    for the small instances the reduction tests use; the search is
     exponential in general.
     """
-    adj = [set() for _ in range(g.vertex_count)]
+    n = g.vertex_count
+    adj = [0] * n
     for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    live = {v for v in range(g.vertex_count) if adj[v]}
-    edges = len(g.edges)
-    best = len(live)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    best = sum(1 for ns in adj if ns)
 
-    def remove(vertices: tuple[int, ...]) -> list[tuple[int, set[int]]]:
-        """Delete the edges of ``vertices``; return what ``restore`` needs."""
-        nonlocal edges
-        removed = []
-        for v in vertices:
-            if v in live:
-                for u in adj[v]:
-                    adj[u].discard(v)
-                    if not adj[u]:
-                        live.discard(u)
-                live.discard(v)
-                edges -= len(adj[v])
-                removed.append((v, adj[v]))
-                adj[v] = set()
-        return removed
-
-    def restore(removed: list[tuple[int, set[int]]]) -> None:
-        nonlocal edges
-        for v, ns in reversed(removed):
-            adj[v] = ns
-            live.add(v)
-            edges += len(ns)
-            for u in ns:
-                adj[u].add(v)
-                live.add(u)
-
-    def expand(acc: int, is_root: bool) -> Iterator[int]:
-        """Settle a node of cover size ``acc``, then branch on a
-        maximum-degree vertex: it joins the cover, or its neighbours do."""
+    def expand(node: tuple[int, int], is_root: bool) -> Iterator[tuple[int, int]]:
+        """Settle the leaves of a node, then branch on a maximum-degree
+        vertex: it joins the cover, or its neighbours do."""
         nonlocal best
-        if not live:
+        acc, alive = node
+        for v in range(n):
+            ns = adj[v] & alive
+            if alive >> v & 1 and ns and not ns & (ns - 1):
+                alive &= ~ns
+                acc += 1
+        degree = [(adj[v] & alive).bit_count() if alive >> v & 1 else 0 for v in range(n)]
+        top = max(degree, default=0)
+        if not top:
             best = min(best, acc)
             return
-        pick = min(live, key=lambda v: (-len(adj[v]), v))
-        if acc + -(-edges // len(adj[pick])) >= best:
+        if acc + -(-sum(degree) // (2 * top)) >= best:
             return
-        removed = remove((pick,))
-        yield acc + 1
-        restore(removed)
-        chosen = (pick, *adj[pick])
-        removed = remove(chosen)
-        yield acc + len(chosen) - 1
-        restore(removed)
+        pick = degree.index(top)
+        yield acc + 1, alive & ~(1 << pick)
+        ns = adj[pick] & alive
+        yield acc + top, alive & ~ns
 
-    _depth_first(expand, 0)
+    _depth_first(expand, (0, (1 << n) - 1))
     return best
 
 

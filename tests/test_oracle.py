@@ -308,6 +308,7 @@ class TestEditArithmetic:
         for e1, e2 in evaluated:
             shared = e1.ballot_of.keys() & e2.ballot_of.keys()
             assert all(e1.ballot_of[v] == e2.ballot_of[v] for v in shared)
+            assert Election(e2.candidates, e2.voters, e2.profile) == e2
 
     def test_disagreeing_confirmation_is_an_error(self, monkeypatch):
         monkeypatch.setattr(oracle, "condorcet_winner", lambda election: None)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
+import random
+import sys
 
 import pytest
 
@@ -97,6 +100,16 @@ class TestVcExact:
         for _ in range(25):
             g = random_graph(rng, 8, 0.4)
             assert vc_exact(g) == brute.vc_brute(8, g.edges)
+        # Sparse graphs and forests are where degree-1 vertices settle
+        # their neighbours without a branch.
+        for _ in range(30):
+            n = rng.randint(9, 16)
+            g = random_graph(rng, n, rng.choice((0.1, 0.2, 0.3, 0.4, 0.5)))
+            assert vc_exact(g) == brute.vc_brute(n, g.edges)
+        for _ in range(10):
+            n = rng.randint(9, 16)
+            forest = tuple((rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8)
+            assert vc_exact(VcInstance(n, forest, 0)) == brute.vc_brute(n, forest)
 
     def test_known_values(self):
         assert vc_exact(K3) == 2
@@ -105,11 +118,35 @@ class TestVcExact:
         star = VcInstance(5, tuple((0, v) for v in range(1, 5)), 0)
         assert vc_exact(star) == 1
 
+    def test_seeded_sparse_graphs_up_to_100_vertices(self):
+        # n vertices and 2n distinct uniform edges; sparse enough that the
+        # degree-1 pass keeps each search to milliseconds.
+        for n, cover in ((40, 22), (60, 32), (80, 42), (100, 53)):
+            rng = random.Random(1)
+            edges: set[tuple[int, int]] = set()
+            while len(edges) < 2 * n:
+                u, v = rng.sample(range(n), 2)
+                edges.add((min(u, v), max(u, v)))
+            assert vc_exact(VcInstance(n, tuple(edges), 0)) == cover
+
     def test_deep_search_holds_no_frame_per_step(self):
-        # Each of the 1,500 disjoint edges takes one branching step, more
-        # than Python's default recursion limit.
+        # 1,500 disjoint edges, more than Python's default recursion limit;
+        # the degree-1 pass settles them all at the root.
         matching = VcInstance(3000, tuple((2 * i, 2 * i + 1) for i in range(1500)), 1500)
         assert vc_exact(matching) == 1500
+
+    def test_deep_branching_holds_no_frame_per_level(self):
+        # Each of 100 disjoint 4-cycles takes one branching level, then the
+        # degree-1 pass settles the rest of that cycle.
+        cycles = tuple(
+            (4 * i + a, 4 * i + b) for i in range(100) for a, b in ((0, 1), (1, 2), (2, 3), (0, 3))
+        )
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            assert vc_exact(VcInstance(400, cycles, 0)) == 200
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestRestrict:

@@ -7,7 +7,12 @@ never touches the solvers in ``scores``, so the two sides can check each
 other: each score function is supposed to agree with the oracle under the
 matching distance (replacement with hamming, dodgson with swap, maximin
 with insertion, young with deletion, and the two one-sided variants with
-insertion and deletion scores respectively).
+insertion and deletion scores respectively).  ``dr_winners_oracle`` returns
+the candidates whose least distance is smallest: under hamming and swap from
+one profile scan, which yields every candidate's minimum at once, and under
+the voter-set metrics from ``dr_score_oracle`` for each candidate in turn.
+Both entry points check ``additions`` and ``addition_budget`` through one
+helper, before any enumeration.
 
 Enumeration spaces, with the pruning that keeps each one exact:
 
@@ -28,6 +33,9 @@ Enumeration spaces, with the pruning that keeps each one exact:
   count.  Only winning elections are built; their distances are evaluated
   by definition, and the election at the minimum is confirmed by
   ``condorcet_winner``.
+
+An election with no voters has no winner, as ``condorcet_winner`` says, so
+no scan counts it as won.
 
 When the budget cannot certify that the found minimum is global, the oracle
 raises ``InconclusiveSearch`` rather than guessing.
@@ -83,7 +91,8 @@ def _profile_winner(m: int, ids: tuple[int, ...]) -> int | None:
                 beats[ranking[a]][ranking[b]] += 1
     n = len(ids)
     for c in range(m):
-        if all(2 * beats[c][b] > n for b in range(m) if b != c):
+        # With no voter there is no strict majority, even for a lone candidate.
+        if n and all(2 * beats[c][b] > n for b in range(m) if b != c):
             return c
     return None
 
@@ -109,7 +118,7 @@ def _profile_minima(e: Election, metric: ElectionMetric, limit: int) -> list[Val
             dist += table[orig][new]
         if dist < minima[winner]:
             minima[winner] = dist
-    assert all(v != INFINITY for v in minima), "a unanimous profile wins for anyone"
+    assert n == 0 or INFINITY not in minima, "a unanimous profile wins for anyone"
     return minima
 
 
@@ -193,7 +202,9 @@ def _certified_floor(metric: ElectionMetric, n: int, budget: int) -> Value:
     return budget
 
 
-def _check_budget(addition_budget: int | None) -> None:
+def _check_options(addition_budget: int | None, additions: str) -> None:
+    if additions not in ("top", "all"):
+        raise ValueError("additions must be 'top' or 'all'")
     # A negative budget would turn the enumeration guard's size estimate
     # negative and let any search through.
     if addition_budget is not None and addition_budget < 0:
@@ -217,9 +228,7 @@ def dr_score_oracle(
     every multiset.  Raises InconclusiveSearch when the scan cannot certify
     its minimum within the limits.
     """
-    if additions not in ("top", "all"):
-        raise ValueError("additions must be 'top' or 'all'")
-    _check_budget(addition_budget)
+    _check_options(addition_budget, additions)
     idx = e.candidate_index(cand)
     if metric in _PROFILE_METRICS:
         return _profile_minima(e, metric, limit)[idx]
@@ -244,10 +253,13 @@ def dr_winners_oracle(
     """Candidates whose closest won election is nearest, by brute force."""
     if e.n == 0:
         raise ValueError("closest-consensus winners need at least one voter")
-    _check_budget(addition_budget)
+    _check_options(addition_budget, additions)
     if metric in _PROFILE_METRICS:
         scores = _profile_minima(e, metric, limit)
     else:
+        # One scan could serve every candidate, but the benchmark's traced
+        # `oracle` run requires this path to reach dr_score_oracle
+        # (perfbench/run.py, REQUIRED_LAYERS); see ROADMAP item 3.
         scores = [
             dr_score_oracle(
                 e,

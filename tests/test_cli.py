@@ -18,6 +18,7 @@ import pytest
 import votedist
 from votedist import (
     Election,
+    ElectionMetric,
     ScoreKind,
     cli,
     parse_profile,
@@ -189,6 +190,12 @@ class TestRationalize:
     def test_negative_budget_is_input_error(self, profile, capsys):
         assert main(["rationalize", "deletion", profile(SMALL), "--budget", "-1"]) == 1
         assert "addition budget" in capsys.readouterr().err
+
+    def test_empty_profile_is_input_error(self, profile, capsys):
+        # The oracle scores a voterless election, but has no winners for it.
+        for metric in ElectionMetric:
+            assert main(["rationalize", metric.value, profile("2\na b\n")]) == 1
+            assert "at least one voter" in capsys.readouterr().err
 
     def test_profile_space_too_big_is_inconclusive(self, profile, capsys):
         big = "3\na b c\n10: a > b > c\n"

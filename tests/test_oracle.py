@@ -24,6 +24,7 @@ from votedist import (
     election_distance,
     insertion_score,
     maximin_winners,
+    replacement_score,
     replacement_winners,
     young_winners,
 )
@@ -137,9 +138,14 @@ class TestEditMetricOracle:
                         ) == dr_score_oracle(e, metric, c, additions="top")
 
     def test_rejects_unknown_additions_mode(self):
+        # limit=0 makes any enumeration inconclusive, so the ValueError shows
+        # that the check runs before the scan.
         e = Election.from_names(["a", "b"], [["a", "b"]])
-        with pytest.raises(ValueError):
-            dr_score_oracle(e, ElectionMetric.INSERTION, "a", additions="sideways")
+        for metric in ElectionMetric:
+            with pytest.raises(ValueError, match="additions"):
+                dr_score_oracle(e, metric, "a", additions="sideways", limit=0)
+            with pytest.raises(ValueError, match="additions"):
+                dr_winners_oracle(e, metric, additions="sideways", limit=0)
 
     def test_deletion_quasi_matches_deletion_score(self, rng):
         for _ in range(30):
@@ -171,10 +177,13 @@ class TestEditMetricOracle:
     def test_rejects_negative_budget(self):
         e = Election.from_names(["a", "b"], [["a", "b"], ["b", "a"], ["b", "a"]])
         for metric in ElectionMetric:
-            with pytest.raises(ValueError, match="addition budget"):
-                dr_score_oracle(e, metric, "a", addition_budget=-1)
-            with pytest.raises(ValueError, match="addition budget"):
-                dr_winners_oracle(e, metric, addition_budget=-1)
+            for additions in ("top", "all"):
+                with pytest.raises(ValueError, match="addition budget"):
+                    dr_score_oracle(
+                        e, metric, "a", addition_budget=-1, additions=additions, limit=0
+                    )
+                with pytest.raises(ValueError, match="addition budget"):
+                    dr_winners_oracle(e, metric, addition_budget=-1, additions=additions, limit=0)
 
     def test_budget_large_enough_certifies(self):
         e = Election.from_names(["a", "b"], [["b", "a"], ["b", "a"]])
@@ -203,6 +212,54 @@ class TestWinnersOracle:
         e = Election.from_names(["a", "b"], [])
         with pytest.raises(ValueError):
             dr_winners_oracle(e, ElectionMetric.HAMMING)
+
+    def test_edit_winners_go_through_the_score_oracle(self, monkeypatch):
+        # The benchmark's traced `oracle` run requires rationalize to reach
+        # dr_score_oracle, which it does through this loop.
+        called = []
+        score = oracle.dr_score_oracle
+
+        def spy(e, metric, cand, **options):
+            called.append(cand)
+            return score(e, metric, cand, **options)
+
+        monkeypatch.setattr(oracle, "dr_score_oracle", spy)
+        e = random_election(random.Random(24), 4, 3)
+        for metric in EDIT_METRICS:
+            called.clear()
+            dr_winners_oracle(e, metric)
+            assert called == list(range(e.m))
+
+    def test_winners_are_the_argmin_of_the_scores(self):
+        rng = random.Random(2024)
+        for _ in range(30):
+            m = rng.randint(1, 4)
+            # n <= 3 at m = 4 keeps each profile scan under 24**3 profiles
+            e = random_election(rng, m, rng.randint(1, 3 if m == 4 else 4))
+            for additions in ("top", "all"):
+                pool = 1 if additions == "top" else factorial(m)
+                # keep each scan small; small budgets leave some inconclusive
+                budget = rng.choice(
+                    [b for b in range(e.n + 2) if 2**e.n * comb(pool + b, b) <= 1000]
+                )
+                if budget == e.n + 1:
+                    budget = None  # the default is n + 1
+                options = dict(addition_budget=budget, additions=additions)
+                for metric in ElectionMetric:
+                    scores = []
+                    for c in range(m):
+                        try:
+                            scores.append(dr_score_oracle(e, metric, c, **options))
+                        except InconclusiveSearch:
+                            scores = None
+                            break
+                    if scores is None:
+                        with pytest.raises(InconclusiveSearch):
+                            dr_winners_oracle(e, metric, **options)
+                        continue
+                    low = min(scores)
+                    expected = tuple(e.candidates[c] for c in range(m) if scores[c] == low)
+                    assert dr_winners_oracle(e, metric, **options).winners == expected
 
     def test_consensus_winner_is_sole_winner_everywhere(self):
         e = Election.from_names(
@@ -247,12 +304,29 @@ class TestEditArithmetic:
                     assert dr_score_oracle(e, metric, "a", additions=additions) == 0
 
     def test_empty_election_has_no_winner(self):
-        # Dropping every voter and adding none leaves an election nobody
-        # wins, even with one candidate, whose win condition is vacuous.
+        # An election without voters has no Condorcet winner, even with one
+        # candidate, whose win condition is vacuous.  So the profile metrics,
+        # which keep the voter set, find no won election at all, and the
+        # edit metrics must add a voter.
+        expected = {
+            ElectionMetric.HAMMING: INFINITY,
+            ElectionMetric.SWAP: INFINITY,
+            ElectionMetric.INSERTION: 1,
+            ElectionMetric.INSERTION_QUASI: 1,
+            ElectionMetric.DELETION: Fraction(5, 3),
+            ElectionMetric.DELETION_QUASI: INFINITY,
+        }
+        for m in (1, 2, 3):
+            e = Election.from_names(list("abc"[:m]), [])
+            assert condorcet_winner(e) is None
+            for c in range(m):
+                for metric, value in expected.items():
+                    assert dr_score_oracle(e, metric, c) == value, (m, metric, c)
+                # the score functions agree wherever they are defined
+                assert insertion_score(e, c) == 1
+                assert deletion_score(e, c) == INFINITY
+                assert replacement_score(e, c) == INFINITY
         e = Election.from_names(["a"], [])
-        assert dr_score_oracle(e, ElectionMetric.INSERTION, "a") == 1
-        assert dr_score_oracle(e, ElectionMetric.INSERTION_QUASI, "a") == 1
-        assert dr_score_oracle(e, ElectionMetric.DELETION_QUASI, "a") == INFINITY
         with pytest.raises(InconclusiveSearch):
             dr_score_oracle(e, ElectionMetric.INSERTION, "a", addition_budget=0)
         assert (

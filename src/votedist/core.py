@@ -27,11 +27,12 @@ def _check_candidate_name(name: str) -> None:
 
 
 def _check_voter_names(voters: tuple[str, ...]) -> None:
-    if len(set(voters)) != len(voters):
-        raise ValueError("voter names must be unique")
+    # Types first: the uniqueness test hashes every name.
     for voter in voters:
         if not isinstance(voter, str) or not voter:
             raise ValueError("voter names must be non-empty strings")
+    if len(set(voters)) != len(voters):
+        raise ValueError("voter names must be unique")
 
 
 @dataclass(frozen=True, order=True)

@@ -86,7 +86,7 @@ class TestElection:
         with pytest.raises(ValueError):
             Election.from_names(["a", "b"], [["a", "b"]] * 2, ["v", "v"])
 
-    @pytest.mark.parametrize("bad", ["", 7, None])
+    @pytest.mark.parametrize("bad", ["", 7, None, ["x"]])
     def test_rejects_unusable_voter_names(self, bad):
         e = Election.from_names(["a", "b"], [])
         with pytest.raises(ValueError, match="non-empty strings"):
@@ -151,6 +151,7 @@ class TestElection:
             ([(0, 1)], ["v1"], "already taken"),
             ([(0, 1)] * 2, ["w", "w"], "unique"),
             ([(0, 1)], [""], "non-empty strings"),
+            ([(0, 1)], [["x"]], "non-empty strings"),
             ([(0, 1)] * 2, ["w"], "one ballot per voter"),
         ],
     )

@@ -114,6 +114,19 @@ class TestProfileMetricOracle:
         with pytest.raises(InconclusiveSearch):
             dr_score_oracle(e, ElectionMetric.SWAP, "a", limit=10)
 
+    def test_oversized_spaces_are_refused_before_listing_rankings(self, monkeypatch):
+        def spy(m):
+            raise AssertionError(f"listed all {m}! rankings")
+
+        monkeypatch.setattr(oracle, "_rankings", spy)
+        names = list("abcdefghijkl")
+        e = Election.from_names(names, [names])
+        for metric in (ElectionMetric.HAMMING, ElectionMetric.SWAP):
+            with pytest.raises(InconclusiveSearch, match="479001600\\*\\*1 "):
+                dr_score_oracle(e, metric, "a")
+        with pytest.raises(InconclusiveSearch, match="edit space"):
+            dr_score_oracle(e, ElectionMetric.INSERTION, "a", additions="all")
+
 
 class TestEditMetricOracle:
     def test_insertion_matches_score_on_smalls(self, rng):
@@ -213,9 +226,7 @@ class TestWinnersOracle:
         with pytest.raises(ValueError):
             dr_winners_oracle(e, ElectionMetric.HAMMING)
 
-    def test_edit_winners_go_through_the_score_oracle(self, monkeypatch):
-        # The benchmark's traced `oracle` run requires rationalize to reach
-        # dr_score_oracle, which it does through this loop.
+    def test_winners_go_through_the_score_oracle(self, monkeypatch):
         called = []
         score = oracle.dr_score_oracle
 
@@ -225,10 +236,28 @@ class TestWinnersOracle:
 
         monkeypatch.setattr(oracle, "dr_score_oracle", spy)
         e = random_election(random.Random(24), 4, 3)
-        for metric in EDIT_METRICS:
+        for metric in ElectionMetric:
             called.clear()
             dr_winners_oracle(e, metric)
             assert called == list(range(e.m))
+
+    def test_one_tally_per_drop_set(self, monkeypatch):
+        # One scan answers every candidate, so each trimmed election is
+        # tallied once, not once per candidate.
+        tallied = []
+        tally = oracle.pairwise_tally
+
+        def spy(election):
+            tallied.append(election.voters)
+            return tally(election)
+
+        monkeypatch.setattr(oracle, "pairwise_tally", spy)
+        e = random_election(random.Random(25), 4, 3)
+        for metric in EDIT_METRICS:
+            tallied.clear()
+            dr_winners_oracle(e, metric)
+            assert len(tallied) == 2**e.n, metric
+            assert len(set(tallied)) == 2**e.n, metric
 
     def test_winners_are_the_argmin_of_the_scores(self):
         rng = random.Random(2024)
@@ -355,13 +384,66 @@ class TestEditArithmetic:
         e = Election.from_names(
             ["a", "b", "c"], [["b", "a", "c"], ["c", "b", "a"], ["b", "c", "a"]]
         )
-        for metric in EDIT_METRICS[:3]:
-            for c in range(e.m):
-                seen.clear()
-                value = dr_score_oracle(e, metric, c)
-                (witness,) = seen
-                assert condorcet_winner(witness).index == c
-                assert election_distance(metric, e, witness) == value
+        for metric in EDIT_METRICS:
+            seen.clear()
+            scores = [dr_score_oracle(e, metric, c) for c in range(e.m)]
+            # one scan, one confirmation per candidate with a won election
+            finite = [c for c in range(e.m) if scores[c] != INFINITY]
+            assert [condorcet_winner(w).index for w in seen] == finite, metric
+            for c, witness in zip(finite, seen):
+                assert election_distance(metric, e, witness) == scores[c]
+        assert finite == [1, 2]  # deletion-quasi: a never wins by deletions
+
+    def test_each_call_gets_its_own_answer(self, monkeypatch):
+        # The scan's answers are kept on the election per metric, budget,
+        # addition mode and limit; no call may read another's answer.
+        def fresh():
+            return Election.from_names(["a", "b"], [["b", "a"], ["b", "a"]])
+
+        metric = ElectionMetric.INSERTION
+        value = dr_score_oracle(fresh(), metric, "a")
+        e = fresh()
+        with pytest.raises(InconclusiveSearch):
+            dr_score_oracle(e, metric, "a", addition_budget=0)
+        assert dr_score_oracle(e, metric, "a") == value
+        with pytest.raises(InconclusiveSearch):
+            dr_score_oracle(e, metric, "a", addition_budget=0)
+        e = fresh()
+        assert dr_score_oracle(e, metric, "a") == value
+        with pytest.raises(InconclusiveSearch):
+            dr_score_oracle(e, metric, "a", addition_budget=0)
+        # 2**2 drop sets times comb(pool + 3, 3) multisets: 16 under "top",
+        # 40 under "all" (pool 2! = 2)
+        e = fresh()
+        assert dr_score_oracle(e, metric, "a", limit=20) == value
+        with pytest.raises(InconclusiveSearch):
+            dr_score_oracle(e, metric, "a", additions="all", limit=20)
+        with pytest.raises(InconclusiveSearch):
+            dr_score_oracle(e, metric, "a", limit=0)
+        e = fresh()
+        with pytest.raises(InconclusiveSearch):
+            dr_score_oracle(e, metric, "a", limit=0)
+        with pytest.raises(InconclusiveSearch):
+            dr_score_oracle(e, metric, "a", additions="all", limit=20)
+        assert dr_score_oracle(e, metric, "a", limit=20) == value
+        assert dr_score_oracle(e, metric, "a", additions="all") == value
+        # A scan that raises leaves nothing behind: the same call scans again.
+        scan = oracle._edit_minima
+        calls = []
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise InconclusiveSearch("first scan refused")
+            return scan(*args)
+
+        monkeypatch.setattr(oracle, "_edit_minima", flaky)
+        e = fresh()
+        with pytest.raises(InconclusiveSearch, match="first scan refused"):
+            dr_score_oracle(e, metric, "a")
+        assert dr_score_oracle(e, metric, "a") == value
+        assert dr_score_oracle(e, metric, "b") == 0
+        assert len(calls) == 2
 
     def test_appended_voters_never_reuse_a_name(self, monkeypatch):
         # A voter named in both elections casts the same ballot in both: a
